@@ -13,8 +13,10 @@ sequences, so counts grow like c * (1/rho)^n.
 All evaluation here is numeric but precision-controlled: mpmath floats at
 an explicit number of decimal digits (never ambient global state), with
 the infinite k-sums cut only once their geometric tail is provably below
-tolerance.  The truncated exact series from the gf module double as an
-independent cross-check for every evaluator.
+tolerance.  As in the gf module, u = z^s with s = 0 (variant "one") or
+s = 1 (variant "z") selects alpha(x,1)/beta(x,1) or alpha(x,x)/beta(x,x),
+so each k-sum is written once.  The truncated exact series from the gf
+module double as an independent cross-check for every evaluator.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .gf import denominator_series
+from .gf import _variant_shift, denominator_series
 from .series import TruncatedSeries
 
 DEFAULT_DPS = 30
@@ -100,59 +102,44 @@ def _sum_tail_controlled(terms, x: mpf, tol: mpf) -> mpf:
     return total
 
 
-def _alpha_terms(x: mpf, variant: str):
-    # variant "one": x^(2k)/(1-x^(2k))   / prod_{l<k}(1-x^(2l-1))
-    # variant "z":   x^(2k+1)/(1-x^(2k+1)) / prod_{l<k}(1-x^(2l))
+def _alpha_terms(x: mpf, s: int):
+    # x^(2k+s)/(1-x^(2k+s)) / prod_{l<k}(1-x^(2l-1+s))
     prod = mpf(1)
     k = 1
     while True:
-        if variant == "one":
-            if k > 1:
-                prod *= 1 - x ** (2 * k - 3)
-            yield x ** (2 * k) / (1 - x ** (2 * k)) / prod
-        else:
-            if k > 1:
-                prod *= 1 - x ** (2 * k - 2)
-            yield x ** (2 * k + 1) / (1 - x ** (2 * k + 1)) / prod
+        if k > 1:
+            prod *= 1 - x ** (2 * k - 3 + s)
+        yield x ** (2 * k + s) / (1 - x ** (2 * k + s)) / prod
         k += 1
 
 
-def _beta_terms(x: mpf, variant: str):
-    # variant "one": x^(2k-1) / prod_{l<=k}(1-x^(2l-1));  "z" with even powers
+def _beta_terms(x: mpf, s: int):
+    # x^(2k-1+s) / prod_{l<=k}(1-x^(2l-1+s))
     prod = mpf(1)
     k = 1
     while True:
-        if variant == "one":
-            prod *= 1 - x ** (2 * k - 1)
-            yield x ** (2 * k - 1) / prod
-        else:
-            prod *= 1 - x ** (2 * k)
-            yield x ** (2 * k) / prod
+        prod *= 1 - x ** (2 * k - 1 + s)
+        yield x ** (2 * k - 1 + s) / prod
         k += 1
-
-
-def _check_variant(variant: str) -> None:
-    if variant not in ("one", "z"):
-        raise ValueError(f"variant must be 'one' or 'z', got {variant!r}")
 
 
 def eval_alpha(x, variant: str = "one", tol=None, dps: int = DEFAULT_DPS) -> mpf:
     """alpha(z,1) or alpha(z,z) at a real point of (0, 1), tail below tol."""
-    _check_variant(variant)
+    s = _variant_shift(variant)
     with mp.workdps(dps):
         xv = _check_domain(x)
         tolv = _default_tol(dps) if tol is None else mpf(tol)
-        total = _sum_tail_controlled(_alpha_terms(xv, variant), xv, tolv)
+        total = _sum_tail_controlled(_alpha_terms(xv, s), xv, tolv)
         return xv / (1 - xv) * total
 
 
 def eval_beta(x, variant: str = "one", tol=None, dps: int = DEFAULT_DPS) -> mpf:
     """beta(z,1) or beta(z,z) at a real point of (0, 1); negative there."""
-    _check_variant(variant)
+    s = _variant_shift(variant)
     with mp.workdps(dps):
         xv = _check_domain(x)
         tolv = _default_tol(dps) if tol is None else mpf(tol)
-        return -_sum_tail_controlled(_beta_terms(xv, variant), xv, tolv)
+        return -_sum_tail_controlled(_beta_terms(xv, s), xv, tolv)
 
 
 def eval_denominator(x, tol=None, dps: int = DEFAULT_DPS) -> mpf:

@@ -25,7 +25,10 @@ with coefficient functions
     beta(z,u)  = - sum_{k>=1} z^(2k-1)*u / prod_{l=1}^{k} (1 - z^(2l-1)*u).
 
 Specializing u to 1 and to z gives a 2x2 linear system for F(z,1) and
-F(z,z), solved by
+F(z,z).  Both specializations are written once, as u = z^s with the
+exponent shift s = 0 (variant "one") or s = 1 (variant "z"); every factor
+of the k-sums is then some 1/(1 - z^m), applied by exact sparse division.
+The system is solved by
 
     F(z,1) = Num(z) / D(z),        F(z,z) = alpha(z,z) / D(z),
     Num    = alpha(z,1) + alpha(z,z)*beta(z,1) - alpha(z,1)*beta(z,z),
@@ -64,9 +67,11 @@ class SeriesConsistencyError(ArithmeticError):
     """A counting series came out non-integral or negative: arithmetic bug."""
 
 
-def _validate_variant(variant: str) -> None:
+def _variant_shift(variant: str) -> int:
+    """The exponent s with u = z^s: 0 for variant "one", 1 for variant "z"."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    return VARIANTS.index(variant)
 
 
 def _validate_order(order: int) -> None:
@@ -74,67 +79,50 @@ def _validate_order(order: int) -> None:
         raise ValueError(f"order must be nonnegative, got {order}")
 
 
+def _one_minus(m: int, order: int) -> TruncatedSeries:
+    """1 - z^m (m >= 1), the divisor of every factor of the k-sums."""
+    return TruncatedSeries.from_coeffs([1] + [0] * (m - 1) + [-1], order)
+
+
 @lru_cache(maxsize=64)
 def alpha_series(variant: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """alpha(z,1) (variant "one") or alpha(z,z) (variant "z"), truncated.
 
-    alpha(z,1) = z/(1-z) * sum_k z^(2k)  /(1-z^(2k))   / prod_{l<k}(1-z^(2l-1))
-    alpha(z,z) = z/(1-z) * sum_k z^(2k+1)/(1-z^(2k+1)) / prod_{l<k}(1-z^(2l))
+    alpha(z,z^s) = z/(1-z) * sum_k z^(2k+s)/(1-z^(2k+s)) / prod_{l<k}(1-z^(2l-1+s))
 
-    The k-th summand has valuation 2k+1 resp. 2k+2 after the prefactor, so
-    the infinite sum is cut at the first k whose term cannot touch the
+    The k-th summand has valuation 2k+1+s after the prefactor, so the
+    infinite sum is cut at the first k whose term cannot touch the
     truncation order.
     """
-    _validate_variant(variant)
+    s = _variant_shift(variant)
     _validate_order(order)
     total = TruncatedSeries.zero(order)
     prod = TruncatedSeries.one(order)
     k = 1
-    while True:
-        if variant == "one":
-            if 2 * k + 1 > order:
-                break
-            if k > 1:
-                prod = prod * TruncatedSeries.geometric(2 * k - 3, order)
-            term = TruncatedSeries.geometric(2 * k, order).shift(2 * k) * prod
-        else:
-            if 2 * k + 2 > order:
-                break
-            if k > 1:
-                prod = prod * TruncatedSeries.geometric(2 * k - 2, order)
-            term = TruncatedSeries.geometric(2 * k + 1, order).shift(2 * k + 1) * prod
-        total = total + term
+    while 2 * k + 1 + s <= order:
+        if k > 1:
+            prod = prod / _one_minus(2 * k - 3 + s, order)
+        total = total + (prod / _one_minus(2 * k + s, order)).shift(2 * k + s)
         k += 1
-    prefactor = TruncatedSeries.geometric(1, order).shift(1)  # z/(1-z)
-    return prefactor * total
+    return (total / _one_minus(1, order)).shift(1)
 
 
 @lru_cache(maxsize=64)
 def beta_series(variant: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """beta(z,1) (variant "one") or beta(z,z) (variant "z"), truncated.
 
-    beta(z,1) = - sum_k z^(2k-1) / prod_{l=1}^{k} (1-z^(2l-1))
-    beta(z,z) = - sum_k z^(2k)   / prod_{l=1}^{k} (1-z^(2l))
+    beta(z,z^s) = - sum_k z^(2k-1+s) / prod_{l=1}^{k} (1-z^(2l-1+s))
 
-    Valuation of the k-th term: 2k-1 resp. 2k.  All coefficients <= 0.
+    Valuation of the k-th term: 2k-1+s.  All coefficients <= 0.
     """
-    _validate_variant(variant)
+    s = _variant_shift(variant)
     _validate_order(order)
     total = TruncatedSeries.zero(order)
     prod = TruncatedSeries.one(order)
     k = 1
-    while True:
-        if variant == "one":
-            if 2 * k - 1 > order:
-                break
-            prod = prod * TruncatedSeries.geometric(2 * k - 1, order)
-            term = prod.shift(2 * k - 1)
-        else:
-            if 2 * k > order:
-                break
-            prod = prod * TruncatedSeries.geometric(2 * k, order)
-            term = prod.shift(2 * k)
-        total = total + term
+    while 2 * k - 1 + s <= order:
+        prod = prod / _one_minus(2 * k - 1 + s, order)
+        total = total + prod.shift(2 * k - 1 + s)
         k += 1
     return -total
 
@@ -174,7 +162,7 @@ def _require_counting_series(s: TruncatedSeries, name: str) -> TruncatedSeries:
 @lru_cache(maxsize=64)
 def even_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """F(z,1): number of Arndt-Carlitz compositions of n with evenly many parts."""
-    s = numerator_series(order) * denominator_series(order).reciprocal()
+    s = numerator_series(order) / denominator_series(order)
     return _require_counting_series(s, "even_series")
 
 
@@ -182,7 +170,7 @@ def even_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
 def fzz_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """F(z,z) = alpha(z,z)/D: even-part compositions weighted by z^(last part)."""
     _validate_order(order)
-    s = alpha_series("z", order) * denominator_series(order).reciprocal()
+    s = alpha_series("z", order) / denominator_series(order)
     return _require_counting_series(s, "fzz_series")
 
 

@@ -1,9 +1,11 @@
 """Truncated formal power series with exact rational coefficients.
 
 Two carriers: TruncatedSeries in z, and BivariateTruncatedSeries in (z, u)
-with u-substitution maps.  All arithmetic is exact (fractions.Fraction);
-nothing in this module ever rounds.  Values are immutable after
-construction, so they are safe to share across threads and to cache.
+with u-substitution maps.  All arithmetic is exact: every coefficient is
+stored in canonical form, an int when it is integral and a
+fractions.Fraction otherwise, so integer series stay in int arithmetic
+throughout.  Nothing in this module ever rounds.  Values are immutable
+after construction, so they are safe to share across threads and to cache.
 
 Truncation convention: a series of order N stores coefficients of
 z^0 .. z^N inclusive; every operation truncates its result back to order N.
@@ -19,14 +21,15 @@ Scalar = Union[int, Fraction]
 
 
 class NonInvertibleSeriesError(ZeroDivisionError):
-    """Reciprocal of a series whose constant term is zero."""
+    """Division by a series whose constant term is zero."""
 
 
-def _frac(v: Scalar) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
+def _frac(v: Scalar) -> Scalar:
+    """Canonical exact coefficient: int when integral, else Fraction."""
     if isinstance(v, int):
-        return Fraction(v)
+        return int(v)
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else v
     # floats are rejected outright: this module is the exact substrate
     raise TypeError(f"coefficients must be int or Fraction, got {type(v).__name__}")
 
@@ -37,7 +40,7 @@ class TruncatedSeries:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        cs = tuple(_frac(c) for c in coeffs)
+        cs = tuple(map(_frac, coeffs))
         if not cs:
             raise ValueError("a truncated series needs at least the z^0 coefficient")
         self._coeffs = cs
@@ -61,7 +64,7 @@ class TruncatedSeries:
 
     @classmethod
     def monomial(cls, exponent: int, order: int, coeff: Scalar = 1) -> "TruncatedSeries":
-        cs = [Fraction(0)] * (order + 1)
+        cs = [0] * (order + 1)
         if 0 <= exponent <= order:
             cs[exponent] = _frac(coeff)
         return cls(cs)
@@ -71,22 +74,22 @@ class TruncatedSeries:
         """1/(1 - z^step): coefficient 1 at exponents 0, step, 2*step, ..."""
         if step < 1:
             raise ValueError(f"step must be >= 1, got {step}")
-        cs = [Fraction(0)] * (order + 1)
+        cs = [0] * (order + 1)
         for e in range(0, order + 1, step):
-            cs[e] = Fraction(1)
+            cs[e] = 1
         return cls(cs)
 
     # -- accessors ---------------------------------------------------------
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
+    def coeffs(self) -> tuple[Scalar, ...]:
         return self._coeffs
 
     @property
     def order(self) -> int:
         return len(self._coeffs) - 1
 
-    def coefficient(self, n: int) -> Fraction:
+    def coefficient(self, n: int) -> Scalar:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} outside truncation order {self.order}")
         return self._coeffs[n]
@@ -132,7 +135,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = self._common_order(other)
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
         for i, a in enumerate(self._coeffs[: n + 1]):
             if not a:
                 continue
@@ -144,23 +147,35 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Series q with q * other = self up to the common order.
+
+        Long division that visits only the nonzero terms of the divisor,
+        so dividing by a sparse series such as 1 - z^m costs O(N).
+        """
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        b = other._coeffs
+        if b[0] == 0:
+            raise NonInvertibleSeriesError(
+                "cannot divide by a series with zero constant term"
+            )
+        n = self._common_order(other)
+        inv0 = _frac(Fraction(1, b[0]))
+        support = [(i, b[i]) for i in range(1, n + 1) if b[i]]
+        out = list(self._coeffs[: n + 1])
+        for k in range(n + 1):
+            acc = out[k]
+            for i, bi in support:
+                if i > k:
+                    break
+                acc -= bi * out[k - i]
+            out[k] = acc * inv0
+        return TruncatedSeries(out)
+
     def reciprocal(self) -> "TruncatedSeries":
         """Series b with self * b = 1 up to the truncation order."""
-        a = self._coeffs
-        if a[0] == 0:
-            raise NonInvertibleSeriesError(
-                "series with zero constant term has no reciprocal"
-            )
-        inv0 = 1 / a[0]
-        out = [Fraction(0)] * (self.order + 1)
-        out[0] = inv0
-        for n in range(1, self.order + 1):
-            s = Fraction(0)
-            for i in range(1, n + 1):
-                if a[i]:
-                    s += a[i] * out[n - i]
-            out[n] = -s * inv0
-        return TruncatedSeries(out)
+        return TruncatedSeries.one(self.order) / self
 
     def shift(self, d: int) -> "TruncatedSeries":
         """Multiply by z^d (terms pushed past the order fall off)."""
@@ -169,9 +184,7 @@ class TruncatedSeries:
         n = self.order
         if d > n:
             return TruncatedSeries.zero(n)
-        return TruncatedSeries(
-            [Fraction(0)] * d + list(self._coeffs[: n + 1 - d])
-        )
+        return TruncatedSeries([0] * d + list(self._coeffs[: n + 1 - d]))
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order < 0:
@@ -188,13 +201,13 @@ class TruncatedSeries:
             [i * self._coeffs[i] for i in range(1, self.order + 1)]
         )
 
-    def evaluate(self, x: Scalar) -> Fraction:
+    def evaluate(self, x: Scalar) -> Scalar:
         """Exact Horner evaluation of the truncated polynomial at rational x."""
         xf = _frac(x)
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self._coeffs):
             acc = acc * xf + c
-        return acc
+        return _frac(acc)
 
     # -- dunder plumbing -----------------------------------------------------
 
@@ -225,7 +238,7 @@ class BivariateTruncatedSeries:
     def __init__(self, coeffs: dict[tuple[int, int], Scalar], order: int):
         if order < 0:
             raise ValueError(f"order must be nonnegative, got {order}")
-        store: dict[tuple[int, int], Fraction] = {}
+        store: dict[tuple[int, int], Scalar] = {}
         for (p, q), v in coeffs.items():
             if p < 0 or q < 0:
                 raise ValueError(f"negative exponent pair ({p}, {q})")
@@ -257,7 +270,7 @@ class BivariateTruncatedSeries:
         d = {}
         j = 0
         while step * j <= order and j <= order:
-            d[(step * j, j)] = Fraction(1)
+            d[(step * j, j)] = 1
             j += 1
         return cls(d, order)
 
@@ -267,10 +280,10 @@ class BivariateTruncatedSeries:
     def order(self) -> int:
         return self._order
 
-    def coefficient(self, zpow: int, upow: int) -> Fraction:
-        return self._coeffs.get((zpow, upow), Fraction(0))
+    def coefficient(self, zpow: int, upow: int) -> Scalar:
+        return self._coeffs.get((zpow, upow), 0)
 
-    def terms(self) -> Iterator[tuple[int, int, Fraction]]:
+    def terms(self) -> Iterator[tuple[int, int, Scalar]]:
         """Nonzero terms as (z-power, u-power, coefficient), sorted."""
         for (p, q) in sorted(self._coeffs):
             yield p, q, self._coeffs[(p, q)]
@@ -297,7 +310,7 @@ class BivariateTruncatedSeries:
         self._require_same_order(other)
         out = dict(self._coeffs)
         for k, v in other._coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return BivariateTruncatedSeries(out, self._order)
 
     def __sub__(self, other: "BivariateTruncatedSeries") -> "BivariateTruncatedSeries":
@@ -315,25 +328,25 @@ class BivariateTruncatedSeries:
             return NotImplemented
         self._require_same_order(other)
         n = self._order
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict[tuple[int, int], Scalar] = {}
         for (p1, q1), v1 in self._coeffs.items():
             for (p2, q2), v2 in other._coeffs.items():
                 p, q = p1 + p2, q1 + q2
                 if p <= n and q <= n:
                     key = (p, q)
-                    out[key] = out.get(key, Fraction(0)) + v1 * v2
+                    out[key] = out.get(key, 0) + v1 * v2
         return BivariateTruncatedSeries(out, n)
 
     def mul_univariate(self, s: TruncatedSeries) -> "BivariateTruncatedSeries":
         """Multiply by a series in z alone."""
         n = self._order
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict[tuple[int, int], Scalar] = {}
         for (p1, q1), v1 in self._coeffs.items():
             for i in range(min(s.order, n - p1) + 1):
                 c = s.coeffs[i]
                 if c:
                     key = (p1 + i, q1)
-                    out[key] = out.get(key, Fraction(0)) + v1 * c
+                    out[key] = out.get(key, 0) + v1 * c
         return BivariateTruncatedSeries(out, n)
 
     def mul_monomial(
@@ -361,12 +374,12 @@ class BivariateTruncatedSeries:
         """
         n = self._order
         if mode == "one":
-            out = [Fraction(0)] * (n + 1)
+            out = [0] * (n + 1)
             for (p, _q), v in self._coeffs.items():
                 out[p] += v
             return TruncatedSeries(out)
         if mode == "z":
-            out = [Fraction(0)] * (n + 1)
+            out = [0] * (n + 1)
             for (p, q), v in self._coeffs.items():
                 if p + q <= n:
                     out[p + q] += v

@@ -20,14 +20,16 @@ from arndt_carlitz.gf import (
     alpha_series,
     beta_series,
     denominator_series,
+    numerator_series,
     series_bundle,
     total_series,
 )
 
 # Anchors certified by two independent computation paths (tail-controlled
-# numeric sums vs exact order-500 rational series) that agree to ~1e-42,
-# and by the exact counting coefficients at n = 100
-# (test_coefficient_ratios_approach_growth).
+# numeric sums vs exact order-500 integer series), whose values of D and Num
+# at RHO agree to 1e-70 while |D(RHO)| < 1e-38
+# (test_order_500_series_certify_rho), and by the exact counting
+# coefficients at n = 100 (test_coefficient_ratios_approach_growth).
 RHO = "0.6279010089184809372910461926110318663363"
 GROWTH = "1.592607729238141564047922382371707389941"
 C_EVEN = "0.1823679511304888531543593533062429342571"
@@ -73,6 +75,22 @@ def test_denominator_agrees_with_exact_series():
         expected = mpf(exact.numerator) / exact.denominator
         got = eval_denominator(mpf("0.25"), tol=mpf("1e-35"), dps=35)
         assert abs(got - expected) < mpf("1e-25")
+
+
+def test_order_500_series_certify_rho():
+    # the exact series alone put a root of D within ~1e-39 of RHO (|D'| ~ 19),
+    # and the numeric k-sums reproduce both exact series there
+    with mp.workdps(80):
+        rho = mpf(RHO)
+
+        def at_rho(series):
+            return mp.polyval([mpf(c) for c in reversed(series.coeffs)], rho)
+
+        d_500 = at_rho(denominator_series(500))
+        assert abs(d_500) < mpf("1e-38")
+        assert abs(d_500 - eval_denominator(rho, dps=80)) < mpf("1e-70")
+        num_500 = at_rho(numerator_series(500))
+        assert abs(num_500 - eval_numerator(rho, dps=80)) < mpf("1e-70")
 
 
 def test_beta_is_negative():

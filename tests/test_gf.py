@@ -170,6 +170,23 @@ def test_counting_coefficients_integral_nonnegative_to_100():
             assert c >= 0
 
 
+def test_production_path_stays_in_int_arithmetic():
+    # every counting series has integer coefficients; a slide back into
+    # Fraction arithmetic would make the exact engine several times slower
+    order = 64
+    bundle = series_bundle(order)
+    series = [
+        maker(variant, order)
+        for maker in (alpha_series, beta_series)
+        for variant in ("one", "z")
+    ]
+    series += [numerator_series(order), denominator_series(order)]
+    series += [bundle.even, bundle.fzz, bundle.odd, bundle.total]
+    for s in series:
+        assert all(type(c) is int for c in s.coeffs)
+    assert all(type(v) is int for _p, _q, v in slice_iteration_series(16).terms())
+
+
 def test_total_monotone_from_two():
     t = total_series(100)
     for n in range(2, 100):
@@ -240,7 +257,7 @@ def test_slice_terms_record_last_part():
 
 
 def test_slice_matches_closed_form():
-    for order in (11, 20):
+    for order in (11, 20, 48):
         f = slice_iteration_series(order)
         assert f.substitute_u("one") == even_series(order)
         assert f.substitute_u("z") == fzz_series(order)

@@ -77,6 +77,14 @@ def test_reciprocal_fibonacci():
 def test_reciprocal_requires_unit_constant():
     with pytest.raises(NonInvertibleSeriesError):
         TruncatedSeries([0, 1]).reciprocal()
+    with pytest.raises(NonInvertibleSeriesError):
+        TruncatedSeries([1, 2]) / TruncatedSeries([0, 1])
+
+
+def test_integral_coefficients_are_stored_as_int():
+    s = TruncatedSeries([Fraction(4, 2), Fraction(1, 2)])
+    assert s.coeffs == (2, Fraction(1, 2))
+    assert type(s.coeffs[0]) is int
 
 
 def test_geometric():
@@ -140,6 +148,12 @@ def test_mul_associative_and_distributive(a, b, c):
 @given(unit_series_st())
 def test_reciprocal_roundtrip(a):
     assert a * a.reciprocal() == TruncatedSeries.one(a.order)
+
+
+@given(series_st(), unit_series_st())
+def test_division_inverts_multiplication(a, b):
+    assert (a * b) / b == a.truncate(b.order)
+    assert a / b == a * b.reciprocal()
 
 
 @given(series_st(), series_st(), st.integers(min_value=0, max_value=9))
