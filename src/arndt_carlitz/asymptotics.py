@@ -14,14 +14,18 @@ All evaluation here is numeric but precision-controlled: mpmath floats at
 an explicit number of decimal digits (never ambient global state), with
 the infinite k-sums cut only once their geometric tail is provably below
 tolerance.  As in the gf module, u = z^s with s = 0 (variant "one") or
-s = 1 (variant "z") selects alpha(x,1)/beta(x,1) or alpha(x,x)/beta(x,x),
-so each k-sum is written once.  The truncated exact series from the gf
-module double as an independent cross-check for every evaluator.
+s = 1 (variant "z") selects alpha(x,1)/beta(x,1) or alpha(x,x)/beta(x,x).
+One pass over k (`_ksums`) sums all four k-sums and their x-derivatives
+together, so D, Num and the analytic D' come from a single evaluation.
+The truncated exact series from the gf module double as an independent
+cross-check for every evaluator.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -40,9 +44,16 @@ CARLITZ_GROWTH = "1.750243"
 
 _MAX_TERMS = 100_000
 
+# find_rho's precision ladder starts between _MIN_RUNG and 2*_MIN_RUNG digits
+_MIN_RUNG = 15
+
+_MAX_STEPS_PER_RUNG = 100
+
+log = logging.getLogger(__name__)
+
 
 class DomainError(ValueError):
-    """Evaluation point outside the open interval (0, 1)."""
+    """Evaluation point outside (0, 1), or a claimed root of D that is not one."""
 
 
 class BracketError(ArithmeticError):
@@ -69,6 +80,20 @@ class AsymptoticEstimate:
     precision_digits: int
 
 
+class _KSums(NamedTuple):
+    """The k-sums at one point x, indexed by the shift s (0: u = 1, 1: u = x)."""
+
+    x: mpf
+    alpha: tuple[mpf, mpf]
+    beta: tuple[mpf, mpf]
+    dalpha: tuple[mpf, mpf]
+    dbeta: tuple[mpf, mpf]
+    numerator: mpf
+    denominator: mpf
+    derivative: mpf
+    terms: int
+
+
 def _check_domain(x) -> mpf:
     xv = mpf(x)
     if not 0 < xv < 1:
@@ -80,102 +105,180 @@ def _default_tol(dps: int) -> mpf:
     return mpf(10) ** (-(dps + 5))
 
 
-def _sum_tail_controlled(terms, x: mpf, tol: mpf) -> mpf:
-    """Sum a stream of k-terms with a geometric-tail stopping rule.
+def _ksums(x, tol=None, dps: int = DEFAULT_DPS) -> _KSums:
+    """alpha(x,x^s), beta(x,x^s) for s = 0, 1 and their x-derivatives, in one pass.
 
-    Terms eventually decay at least like x^(2k), so the tail after a term
-    below tol*(1 - x^2) is below tol.  Stops only after two consecutive
-    terms beat the threshold: the second is the defensive extra evaluation.
+    With P_s(j) = prod_{l<=j} (1 - x^(2l-1+s)) the k-th terms are
+
+        A_s(k) = x^(2k+s)/(1-x^(2k+s)) / P_s(k-1),   alpha = x/(1-x) * sum_k A_s(k),
+        B_s(k) = x^(2k-1+s) / P_s(k),                beta  = -sum_k B_s(k).
+
+    All four streams use only x^(2k-1), x^(2k), x^(2k+1) and the two
+    reciprocals 1/(1-x^(2k)), 1/(1-x^(2k+1)) at step k, kept incrementally
+    (1/(1-x^(2k+1)) is the next step's 1/(1-x^(2k-1))).  The derivative
+    rides along as a log-derivative: with t(m) = x^m/(1-x^m) and
+    H_s(j) = sum_{l<=j} m_l*t(m_l), m_l = 2l-1+s, one has
+    d log(1/P_s(j))/dx = H_s(j)/x, hence
+
+        x*A_s(k)' = A_s(k) * ((2k+s)*(1 + t(2k+s)) + H_s(k-1)),
+        x*B_s(k)' = B_s(k) * ((2k-1+s) + H_s(k)).
+
+    Stop rule: the value terms eventually decay at least like x^(2k), so the
+    tail after a value term below tol*(1-x^2) is below tol.  A derivative
+    term is its value term times a weight that grows linearly in k (H_s
+    converges), so it decays like k*x^(2k); with q = x^2 the tail after
+    the k-th such term is at most that term times q/(1-q) + q/(k*(1-q)^2),
+    which is below 1/(1-q)^2 for every k >= 1.  So a derivative term below
+    tol*(1-x^2)^2 leaves a tail below tol.  The pass stops after two
+    consecutive steps in which all four value terms and all four
+    derivative terms beat their thresholds; the second is the defensive
+    extra evaluation.
     """
-    threshold = tol * (1 - x * x)
-    total = mpf(0)
-    small_run = 0
-    for count, term in enumerate(terms):
-        if count > _MAX_TERMS:
-            raise PrecisionError(
-                f"tail of the k-sum did not reach {threshold} within {_MAX_TERMS} terms"
+    with mp.workdps(dps):
+        xv = _check_domain(x)
+        tolv = _default_tol(dps) if tol is None else mpf(tol)
+        x2 = xv * xv
+        value_threshold = tolv * (1 - x2)
+        slope_threshold = value_threshold * (1 - x2) * xv  # compared with x*term'
+        power = xv                   # x^(2k-1)
+        inv_odd = 1 / (1 - xv)       # 1/(1-x^(2k-1))
+        t_odd = power * inv_odd      # t(2k-1)
+        prod = [mpf(1), mpf(1)]      # 1/P_s(k-1)
+        logd = [mpf(0), mpf(0)]      # H_s(k-1)
+        sum_a, sum_b = [mpf(0), mpf(0)], [mpf(0), mpf(0)]
+        slope_a, slope_b = [mpf(0), mpf(0)], [mpf(0), mpf(0)]
+        small_run = 0
+        k = 0
+        while small_run < 2:
+            k += 1
+            if k > _MAX_TERMS:
+                raise PrecisionError(
+                    f"tail of the k-sums did not reach {value_threshold} "
+                    f"within {_MAX_TERMS} terms"
+                )
+            p_even, p_next = power * xv, power * x2
+            inv_even, inv_next = 1 / (1 - p_even), 1 / (1 - p_next)
+            t_even, t_next = p_even * inv_even, p_next * inv_next
+            # alpha: A_0 uses t(2k), A_1 uses t(2k+1); both over P_s(k-1)
+            a_terms = (t_even * prod[0], t_next * prod[1])
+            a_slopes = (
+                a_terms[0] * ((2 * k) * (1 + t_even) + logd[0]),
+                a_terms[1] * ((2 * k + 1) * (1 + t_next) + logd[1]),
             )
-        total += term
-        small_run = small_run + 1 if abs(term) < threshold else 0
-        if small_run >= 2:
-            break
-    return total
-
-
-def _alpha_terms(x: mpf, s: int):
-    # x^(2k+s)/(1-x^(2k+s)) / prod_{l<k}(1-x^(2l-1+s))
-    prod = mpf(1)
-    k = 1
-    while True:
-        if k > 1:
-            prod *= 1 - x ** (2 * k - 3 + s)
-        yield x ** (2 * k + s) / (1 - x ** (2 * k + s)) / prod
-        k += 1
-
-
-def _beta_terms(x: mpf, s: int):
-    # x^(2k-1+s) / prod_{l<=k}(1-x^(2l-1+s))
-    prod = mpf(1)
-    k = 1
-    while True:
-        prod *= 1 - x ** (2 * k - 1 + s)
-        yield x ** (2 * k - 1 + s) / prod
-        k += 1
+            # P_s(k) = P_s(k-1) * (1 - x^(2k-1+s))
+            prod[0] *= inv_odd
+            prod[1] *= inv_even
+            logd[0] += (2 * k - 1) * t_odd
+            logd[1] += (2 * k) * t_even
+            b_terms = (power * prod[0], p_even * prod[1])
+            b_slopes = (
+                b_terms[0] * ((2 * k - 1) + logd[0]),
+                b_terms[1] * ((2 * k) + logd[1]),
+            )
+            for s in (0, 1):
+                sum_a[s] += a_terms[s]
+                sum_b[s] += b_terms[s]
+                slope_a[s] += a_slopes[s]
+                slope_b[s] += b_slopes[s]
+            small = (
+                max(abs(t) for t in a_terms + b_terms) < value_threshold
+                and max(abs(t) for t in a_slopes + b_slopes) < slope_threshold
+            )
+            small_run = small_run + 1 if small else 0
+            power, inv_odd, t_odd = p_next, inv_next, t_next
+        # alpha = x/(1-x) * S, so alpha' = (S/(1-x) + x*S')/(1-x)
+        one_minus = 1 - xv
+        alpha = tuple(xv / one_minus * sum_a[s] for s in (0, 1))
+        beta = tuple(-sum_b[s] for s in (0, 1))
+        dalpha = tuple((sum_a[s] / one_minus + slope_a[s]) / one_minus for s in (0, 1))
+        dbeta = tuple(-slope_b[s] / xv for s in (0, 1))
+        (a1, az), (b1, bz), (da1, daz), (db1, dbz) = alpha, beta, dalpha, dbeta
+        numerator = a1 + az * b1 - a1 * bz
+        dnumerator = da1 + daz * b1 + az * db1 - da1 * bz - a1 * dbz
+        # D = 1 - alpha(x,1) - beta(x,x) + beta(x,x)*alpha(x,1) - alpha(x,x)*beta(x,1)
+        #   = 1 - beta(x,x) - Num
+        return _KSums(
+            x=xv,
+            alpha=alpha,
+            beta=beta,
+            dalpha=dalpha,
+            dbeta=dbeta,
+            numerator=numerator,
+            denominator=1 - bz - numerator,
+            derivative=-dbz - dnumerator,
+            terms=k,
+        )
 
 
 def eval_alpha(x, variant: str = "one", tol=None, dps: int = DEFAULT_DPS) -> mpf:
     """alpha(z,1) or alpha(z,z) at a real point of (0, 1), tail below tol."""
     s = _variant_shift(variant)
-    with mp.workdps(dps):
-        xv = _check_domain(x)
-        tolv = _default_tol(dps) if tol is None else mpf(tol)
-        total = _sum_tail_controlled(_alpha_terms(xv, s), xv, tolv)
-        return xv / (1 - xv) * total
+    return _ksums(x, tol, dps).alpha[s]
 
 
 def eval_beta(x, variant: str = "one", tol=None, dps: int = DEFAULT_DPS) -> mpf:
     """beta(z,1) or beta(z,z) at a real point of (0, 1); negative there."""
     s = _variant_shift(variant)
-    with mp.workdps(dps):
-        xv = _check_domain(x)
-        tolv = _default_tol(dps) if tol is None else mpf(tol)
-        return -_sum_tail_controlled(_beta_terms(xv, s), xv, tolv)
+    return _ksums(x, tol, dps).beta[s]
 
 
 def eval_denominator(x, tol=None, dps: int = DEFAULT_DPS) -> mpf:
-    """D(x), assembled from the four evaluators (error budget ~5*tol)."""
-    with mp.workdps(dps):
-        a1 = eval_alpha(x, "one", tol, dps)
-        az = eval_alpha(x, "z", tol, dps)
-        b1 = eval_beta(x, "one", tol, dps)
-        bz = eval_beta(x, "z", tol, dps)
-        return 1 - a1 - bz + bz * a1 - az * b1
+    """D(x), assembled from the four k-sums (error budget ~5*tol)."""
+    return _ksums(x, tol, dps).denominator
 
 
 def eval_numerator(x, tol=None, dps: int = DEFAULT_DPS) -> mpf:
     """Num(x) = alpha(x,1) + alpha(x,x)*beta(x,1) - alpha(x,1)*beta(x,x)."""
-    with mp.workdps(dps):
-        a1 = eval_alpha(x, "one", tol, dps)
-        az = eval_alpha(x, "z", tol, dps)
-        b1 = eval_beta(x, "one", tol, dps)
-        bz = eval_beta(x, "z", tol, dps)
-        return a1 + az * b1 - a1 * bz
+    return _ksums(x, tol, dps).numerator
+
+
+def _budget(dps: int) -> mpf:
+    """|D| above this is far beyond the evaluation error at dps digits, so its sign holds."""
+    return mpf(10) ** (-mpf(dps) / 2)
+
+
+def _ladder(working: int) -> list[int]:
+    """Working precisions from about 20 digits up to `working`, each double the last."""
+    rungs = [working]
+    while rungs[-1] > 2 * _MIN_RUNG:
+        rungs.append((rungs[-1] + 1) // 2)
+    return rungs[::-1]
 
 
 def find_rho(digits: int = 20, bracket=DEFAULT_BRACKET) -> mpf:
     """The zero of D in (0, 1), accurate to `digits` significant digits.
 
-    Sign change is verified on the bracket, then bisection to ~10 digits,
-    then secant refinement at digits + 15 working digits.
+    Safeguarded Newton iteration on the analytic D' with precision
+    doubling: the sign change is verified on the bracket at the first rung
+    of the ladder (about 20 digits; at digits + 15 when |D| at an endpoint
+    is within that rung's error budget), Newton starts from the bracket's
+    midpoint, and each rung doubles the precision up to digits + 15
+    working digits.  Every value of D whose size exceeds the rung's error
+    budget shrinks a sign-change bracket around the iterates; a Newton
+    step that would leave the bracket is replaced by a bisection step, so
+    the root stays enclosed.  The iteration stops once a step at full
+    working precision is below 10^-(digits+8).
     """
     if digits < 10:
         raise ValueError(f"digits must be >= 10, got {digits}")
     working = digits + GUARD_DIGITS
+    ladder = _ladder(working)
+    passes = newton_steps = bisection_steps = 0
+
+    def evaluate(x, dps: int) -> _KSums:
+        nonlocal passes
+        passes += 1
+        return _ksums(x, None, dps)
+
+    def endpoint(x) -> mpf:
+        f = evaluate(x, ladder[0]).denominator
+        if abs(f) <= _budget(ladder[0]) and ladder[0] < working:
+            f = evaluate(x, working).denominator
+        return f
+
     with mp.workdps(working):
-        tol = _default_tol(working)
         a, b = mpf(bracket[0]), mpf(bracket[1])
-        fa = eval_denominator(a, tol, working)
-        fb = eval_denominator(b, tol, working)
+        fa, fb = endpoint(a), endpoint(b)
         if fa == 0:
             return a
         if fb == 0:
@@ -185,44 +288,51 @@ def find_rho(digits: int = 20, bracket=DEFAULT_BRACKET) -> mpf:
                 f"D({a}) = {fa} and D({b}) = {fb} do not change sign; "
                 f"root bracket or evaluators are broken"
             )
-        # bisection: cheap, guaranteed, ~10 digits
-        while b - a > mpf(10) ** -10:
-            c = (a + b) / 2
-            fc = eval_denominator(c, tol, working)
-            if fc == 0:
-                return c
-            if (fc > 0) == (fa > 0):
-                a, fa = c, fc
-            else:
-                b, fb = c, fc
-        # secant: superlinear, takes over to full working precision
-        x0, f0 = a, fa
-        x1, f1 = b, fb
+        x = (a + b) / 2
         stop = mpf(10) ** (-(digits + 8))
-        for _ in range(200):
-            if f1 == f0:
-                break
-            x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-            x0, f0 = x1, f1
-            x1, f1 = x2, eval_denominator(x2, tol, working)
-            if abs(x1 - x0) < stop:
-                return x1
-        raise PrecisionError(
-            f"secant refinement did not converge to {digits} digits on {bracket}"
-        )
+    for dps in ladder:
+        budget = _budget(dps)
+        with mp.workdps(dps):
+            for _ in range(_MAX_STEPS_PER_RUNG):
+                sums = evaluate(x, dps)
+                f = sums.denominator
+                if abs(f) > budget:
+                    if (f > 0) == (fa > 0):
+                        a = x
+                    else:
+                        b = x
+                # an exact zero gives a zero Newton step and ends the rung;
+                # D' = 0 yields the candidate a, which forces a bisection step
+                candidate = x - f / sums.derivative if sums.derivative else a
+                if a < candidate < b:
+                    newton_steps += 1
+                else:
+                    candidate = (a + b) / 2
+                    bisection_steps += 1
+                dx = abs(candidate - x)
+                x = candidate
+                # Newton squares the error: after a step below 10^(-dps/2)
+                # the rung's precision is used up
+                if dx < (stop if dps == working else budget):
+                    break
+            else:
+                if dps == working:
+                    raise PrecisionError(
+                        f"Newton refinement did not converge to {digits} digits "
+                        f"on {bracket}"
+                    )
+    log.debug(
+        "find_rho digits=%d ladder=%s passes=%d newton=%d bisection=%d "
+        "k_terms=%d |dx|=%s",
+        digits, ladder, passes, newton_steps, bisection_steps, sums.terms,
+        mp.nstr(dx, 3),
+    )
+    return x
 
 
 def denominator_derivative(x, digits: int = 20) -> mpf:
-    """D'(x) by centered finite difference, step 10^(-digits/2), 2*digits working."""
-    working = 2 * digits
-    with mp.workdps(working):
-        xv = _check_domain(x)
-        tol = _default_tol(working)
-        h = mpf(10) ** (-mpf(digits) / 2)
-        return (
-            eval_denominator(xv + h, tol, working)
-            - eval_denominator(xv - h, tol, working)
-        ) / (2 * h)
+    """D'(x), differentiated term by term in the k-sums, at digits + 15 working."""
+    return _ksums(x, None, digits + GUARD_DIGITS).derivative
 
 
 def _series_value(series: TruncatedSeries, x: mpf) -> mpf:
@@ -248,24 +358,30 @@ def amplitudes(rho, digits: int = 20) -> AsymptoticEstimate:
 
     c_even = -Num(rho)/(rho*D'(rho)); the odd series z/(1-z)*(1+F(z,1)) -
     F(z,z) picks up rho/(1-rho)*c_even - c_fzz, with c_fzz the residue
-    constant of F(z,z) = alpha(z,z)/D.
+    constant of F(z,z) = alpha(z,z)/D.  D, Num, alpha(rho,rho) and D' all
+    come from one pass over the k-sums.  A rho with |D(rho)| above
+    10^(-digits/2) raises DomainError.
     """
     working = digits + GUARD_DIGITS
+    sums = _ksums(rho, None, working)
     with mp.workdps(working):
-        rv = _check_domain(rho)
-        tol = _default_tol(working)
-        residual = eval_denominator(rv, tol, working)
-        if abs(residual) > mpf(10) ** (-mpf(digits) / 2):
-            raise ValueError(
-                f"rho={rv} is not a root of D (|D(rho)| = {abs(residual)})"
+        rv = sums.x
+        residual = abs(sums.denominator)
+        log.debug(
+            "amplitudes digits=%d |D(rho)|=%s k_terms=%d",
+            digits, mp.nstr(residual, 3), sums.terms,
+        )
+        if residual > mpf(10) ** (-mpf(digits) / 2):
+            raise DomainError(
+                f"rho={rv} is not a root of D (|D(rho)| = {residual})"
             )
-        dprime = denominator_derivative(rv, digits)
+        dprime = sums.derivative
         if abs(dprime) < mpf(10) ** -6:
             raise DegeneratePoleError(
                 f"|D'(rho)| = {abs(dprime)} is numerically zero at rho={rv}"
             )
-        c_even = -eval_numerator(rv, tol, working) / (rv * dprime)
-        c_fzz = -eval_alpha(rv, "z", tol, working) / (rv * dprime)
+        c_even = -sums.numerator / (rv * dprime)
+        c_fzz = -sums.alpha[1] / (rv * dprime)
         c_odd = rv / (1 - rv) * c_even - c_fzz
         c_total = c_even + c_odd
         if not (c_even > 0 and c_odd > 0):

@@ -140,13 +140,13 @@ def numerator_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
 @lru_cache(maxsize=64)
 def denominator_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """D = 1 - alpha(z,1) - beta(z,z) + beta(z,z)*alpha(z,1) - alpha(z,z)*beta(z,1)."""
+    """D = 1 - alpha(z,1) - beta(z,z) + beta(z,z)*alpha(z,1) - alpha(z,z)*beta(z,1).
+
+    The three alpha terms of D are -Num, so D = 1 - beta(z,z) - Num.
+    """
     _validate_order(order)
-    a1 = alpha_series("one", order)
-    az = alpha_series("z", order)
-    b1 = beta_series("one", order)
     bz = beta_series("z", order)
-    return TruncatedSeries.one(order) - a1 - bz + bz * a1 - az * b1
+    return TruncatedSeries.one(order) - bz - numerator_series(order)
 
 
 def _require_counting_series(s: TruncatedSeries, name: str) -> TruncatedSeries:
@@ -174,6 +174,12 @@ def fzz_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     return _require_counting_series(s, "fzz_series")
 
 
+def _attach_part(even: TruncatedSeries) -> TruncatedSeries:
+    """z/(1-z) * (1 + even), by one O(N) division by 1 - z."""
+    order = even.order
+    return ((TruncatedSeries.one(order) + even) / _one_minus(1, order)).shift(1)
+
+
 @lru_cache(maxsize=64)
 def odd_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Number of Arndt-Carlitz compositions of n with oddly many parts.
@@ -182,8 +188,7 @@ def odd_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     last to an even-part composition, plus the one-part compositions.
     """
     _validate_order(order)
-    z_over = TruncatedSeries.geometric(1, order).shift(1)
-    s = z_over + even_series(order) * z_over - fzz_series(order)
+    s = _attach_part(even_series(order)) - fzz_series(order)
     return _require_counting_series(s, "odd_series")
 
 
@@ -253,6 +258,5 @@ def slice_bundle(order: int = DEFAULT_ORDER) -> SeriesBundle:
     f = slice_iteration_series(order)
     even = _require_counting_series(f.substitute_u("one"), "slice even")
     fzz = _require_counting_series(f.substitute_u("z"), "slice fzz")
-    z_over = TruncatedSeries.geometric(1, order).shift(1)
-    odd = _require_counting_series(z_over + even * z_over - fzz, "slice odd")
+    odd = _require_counting_series(_attach_part(even) - fzz, "slice odd")
     return SeriesBundle(even=even, fzz=fzz, odd=odd, total=even + odd, order=order)

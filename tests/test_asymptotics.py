@@ -1,8 +1,10 @@
+import logging
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
+from arndt_carlitz import asymptotics
 from arndt_carlitz.asymptotics import (
     BracketError,
     DomainError,
@@ -36,6 +38,12 @@ C_EVEN = "0.1823679511304888531543593533062429342571"
 C_ODD = "0.217010491075237269829558668022107211093"
 C_TOTAL = "0.3993784422057261229839180213283501453501"
 D_PRIME = "-18.9314955057142358960337063539"
+# the first 120 digits of rho, as in perfbench/reference.json (cross-checked
+# there by a 140-digit run, the slice recurrence and brute force)
+RHO_120 = (
+    "0.627901008918480937291046192611031866336346219368790732414178087657"
+    "447463503363362334429509154800160043601641034547468316"
+)
 
 # Values tabulated for these constants elsewhere; they reproduce the k<=20
 # truncation of the defining sums and are accurate to ~8 significant digits
@@ -155,6 +163,55 @@ def test_find_rho_rejects_signless_bracket():
         find_rho(15, bracket=("0.10", "0.20"))
 
 
+def test_find_rho_hundred_digits():
+    with mp.workdps(130):
+        assert mp.nstr(find_rho(100), 100) == mp.nstr(mpf(RHO_120), 100)
+
+
+@pytest.mark.parametrize(
+    "bracket",
+    [("0.55", "0.70"), ("0.6279", "0.62791"), ("0.40", "0.628")],
+    ids=["default", "narrow", "overshoot"],
+)
+def test_find_rho_stays_in_bracket(bracket, caplog):
+    with caplog.at_level(logging.DEBUG, logger=asymptotics.__name__):
+        rho = find_rho(25, bracket=bracket)
+    with mp.workdps(50):
+        assert mpf(bracket[0]) < rho < mpf(bracket[1])
+        assert abs(rho - mpf(RHO)) < mpf("1e-30")
+    (record,) = caplog.records
+    if bracket[0] == "0.40":
+        # D is concave here: the Newton step from the midpoint 0.514 lands
+        # beyond 0.628, so the safeguard must bisect
+        assert "bisection=0 " not in record.getMessage()
+
+
+def test_find_rho_pass_budget(monkeypatch):
+    # deterministic work guard: each fused k-sum pass is one evaluation of D
+    passes = []
+    real = asymptotics._ksums
+
+    def counting(*args, **kwargs):
+        passes.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "_ksums", counting)
+    with mp.workdps(110):
+        assert abs(find_rho(85) - mpf(RHO_120)) < mpf("1e-100")
+    assert len(passes) <= 12
+
+
+def test_diagnostics_are_debug_records(caplog):
+    with caplog.at_level(logging.DEBUG, logger=asymptotics.__name__):
+        amplitudes(find_rho(20), 20)
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG, logging.DEBUG]
+    rho_msg, amp_msg = (r.getMessage() for r in caplog.records)
+    for field in ("ladder=[18, 35]", "passes=", "newton=", "bisection=", "k_terms=", "|dx|="):
+        assert field in rho_msg
+    for field in ("|D(rho)|=", "k_terms="):
+        assert field in amp_msg
+
+
 def test_tabulated_rho_is_only_an_eight_digit_root():
     # the 20-digit tabulated value leaves a residual ~2e-8, the converged
     # root leaves ~0: the tabulated digits are truncation-limited
@@ -177,10 +234,26 @@ def test_tabulated_rho_is_only_an_eight_digit_root():
 def test_derivative_two_paths_agree():
     with mp.workdps(45):
         rho = find_rho(20)
-        fd = denominator_derivative(rho, digits=20)
-        via_series = denominator_derivative_via_series(rho, order=250, dps=40)
-        assert abs(fd - via_series) < mpf("1e-10")
-        assert abs(fd - mpf(D_PRIME)) < mpf("1e-15")
+        analytic = denominator_derivative(rho, digits=20)
+        via_series = denominator_derivative_via_series(rho, order=250, dps=45)
+        assert abs(analytic - via_series) < mpf("1e-30")
+        assert abs(analytic - mpf(D_PRIME)) < mpf("1e-15")
+
+
+@pytest.mark.parametrize("variant", ["one", "z"])
+def test_k_sum_derivatives_agree_with_exact_series(variant):
+    # each derivative stream of the fused pass against the derivative of
+    # the exact order-60 series at x = 1/4
+    s = 0 if variant == "one" else 1
+    x = Fraction(1, 4)
+    sums = asymptotics._ksums(mpf("0.25"), tol=mpf("1e-35"), dps=35)
+    with mp.workdps(40):
+        for maker, got in (
+            (alpha_series, sums.dalpha[s]),
+            (beta_series, sums.dbeta[s]),
+        ):
+            exact = maker(variant, 60).derivative().evaluate(x)
+            assert abs(got - mpf(exact.numerator) / exact.denominator) < mpf("1e-25")
 
 
 def test_amplitudes_match_certified_anchors():
@@ -206,7 +279,7 @@ def test_estimate_invariants():
 
 
 def test_amplitudes_rejects_non_root():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         amplitudes(mpf("0.5"), 20)
 
 

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from mpmath import mpf
 
 from arndt_carlitz import asymptotics, cli, gf
 from arndt_carlitz.asymptotics import BracketError
@@ -203,6 +204,15 @@ def test_asymptotics_precision_failure_exit(capsys, monkeypatch):
     code, _, err = run(capsys, "asymptotics")
     assert code == EXIT_PRECISION
     assert "no sign change" in err
+
+
+def test_asymptotics_non_root_exit(capsys, monkeypatch):
+    monkeypatch.setattr(asymptotics, "find_rho", lambda *args, **kwargs: mpf("0.5"))
+    code, out, err = run(capsys, "asymptotics")
+    assert code == EXIT_PRECISION
+    assert out == ""
+    assert err.startswith("error: ") and "is not a root of D" in err
+    assert err.count("\n") == 1
 
 
 # ----------------------------------------------------------------- verify
