@@ -345,8 +345,8 @@ def _series_value(series: TruncatedSeries, x: mpf) -> mpf:
 def denominator_derivative_via_series(x, order: int = 250, dps: int = DEFAULT_DPS) -> mpf:
     """D'(x) from the exact truncated series: independent of the evaluators.
 
-    The tail beyond `order` is below |x|^order up to subexponential factors,
-    so order 250 is ample anywhere near the dominant root.
+    At rho the tail beyond `order` is about 1e-37 at order 250 (rho^250 is
+    3e-51), so order 250 checks D'(rho) to about 35 digits.
     """
     with mp.workdps(dps):
         xv = _check_domain(x)

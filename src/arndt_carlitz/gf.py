@@ -27,7 +27,7 @@ with coefficient functions
 Specializing u to 1 and to z gives a 2x2 linear system for F(z,1) and
 F(z,z).  Both specializations are written once, as u = z^s with the
 exponent shift s = 0 (variant "one") or s = 1 (variant "z"); every factor
-of the k-sums is then some 1/(1 - z^m), applied by exact sparse division.
+of the k-sums is then some 1/(1 - z^m), applied in place on an int list.
 The system is solved by
 
     F(z,1) = Num(z) / D(z),        F(z,z) = alpha(z,z) / D(z),
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .series import BivariateTruncatedSeries, TruncatedSeries
 
@@ -79,9 +80,11 @@ def _validate_order(order: int) -> None:
         raise ValueError(f"order must be nonnegative, got {order}")
 
 
-def _one_minus(m: int, order: int) -> TruncatedSeries:
-    """1 - z^m (m >= 1), the divisor of every factor of the k-sums."""
-    return TruncatedSeries.from_coeffs([1] + [0] * (m - 1) + [-1], order)
+def _divide_one_minus(c: list, m: int) -> list:
+    """Divide the coefficient list c by 1 - z^m (m >= 1) in place, in O(N)."""
+    for i in range(m, len(c)):
+        c[i] += c[i - m]
+    return c
 
 
 @lru_cache(maxsize=64)
@@ -90,21 +93,19 @@ def alpha_series(variant: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
     alpha(z,z^s) = z/(1-z) * sum_k z^(2k+s)/(1-z^(2k+s)) / prod_{l<k}(1-z^(2l-1+s))
 
-    The k-th summand has valuation 2k+1+s after the prefactor, so the
-    infinite sum is cut at the first k whose term cannot touch the
-    truncation order.
+    With m = 2k+s the k-th summand starts at z^(m+1), so the sum stops at
+    m = order - 1.  The sum is kept below z^order, all that the factor z
+    leaves, so of the k-th quotient only its first order - m terms count.
     """
     s = _variant_shift(variant)
     _validate_order(order)
-    total = TruncatedSeries.zero(order)
-    prod = TruncatedSeries.one(order)
-    k = 1
-    while 2 * k + 1 + s <= order:
-        if k > 1:
-            prod = prod / _one_minus(2 * k - 3 + s, order)
-        total = total + (prod / _one_minus(2 * k + s, order)).shift(2 * k + s)
-        k += 1
-    return (total / _one_minus(1, order)).shift(1)
+    total = [0] * order
+    prod = [1] + [0] * order
+    for m in range(2 + s, order, 2):
+        if m > 2 + s:
+            _divide_one_minus(prod, m - 3)
+        total[m:] = map(add, total[m:], _divide_one_minus(prod[: order - m], m))
+    return TruncatedSeries([0] + _divide_one_minus(total, 1))
 
 
 @lru_cache(maxsize=64)
@@ -113,18 +114,16 @@ def beta_series(variant: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
     beta(z,z^s) = - sum_k z^(2k-1+s) / prod_{l=1}^{k} (1-z^(2l-1+s))
 
-    Valuation of the k-th term: 2k-1+s.  All coefficients <= 0.
+    Valuation of the k-th term: m = 2k-1+s.  All coefficients <= 0.
     """
     s = _variant_shift(variant)
     _validate_order(order)
-    total = TruncatedSeries.zero(order)
-    prod = TruncatedSeries.one(order)
-    k = 1
-    while 2 * k - 1 + s <= order:
-        prod = prod / _one_minus(2 * k - 1 + s, order)
-        total = total + prod.shift(2 * k - 1 + s)
-        k += 1
-    return -total
+    total = [0] * (order + 1)
+    prod = [1] + [0] * order
+    for m in range(1 + s, order + 1, 2):
+        _divide_one_minus(prod, m)
+        total[m:] = map(add, total[m:], prod)
+    return TruncatedSeries([-c for c in total])
 
 
 @lru_cache(maxsize=64)
@@ -176,8 +175,9 @@ def fzz_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
 def _attach_part(even: TruncatedSeries) -> TruncatedSeries:
     """z/(1-z) * (1 + even), by one O(N) division by 1 - z."""
-    order = even.order
-    return ((TruncatedSeries.one(order) + even) / _one_minus(1, order)).shift(1)
+    c = list(even.coeffs)
+    c[0] += 1
+    return TruncatedSeries([0] + _divide_one_minus(c, 1)[: even.order])
 
 
 @lru_cache(maxsize=64)

@@ -97,6 +97,72 @@ def test_ksum_truncation_consistency(maker, variant):
         assert maker(variant, wide).truncate(narrow) == maker(variant, narrow)
 
 
+def _one_minus(m: int, order: int) -> TruncatedSeries:
+    return TruncatedSeries.from_coeffs([1] + [0] * (m - 1) + [-1], order)
+
+
+def alpha_by_series_division(s: int, order: int) -> TruncatedSeries:
+    """alpha(z,z^s) summed term by term with TruncatedSeries arithmetic."""
+    total = TruncatedSeries.zero(order)
+    prod = TruncatedSeries.one(order)
+    k = 1
+    while 2 * k + 1 + s <= order:
+        if k > 1:
+            prod = prod / _one_minus(2 * k - 3 + s, order)
+        total = total + (prod / _one_minus(2 * k + s, order)).shift(2 * k + s)
+        k += 1
+    return (total / _one_minus(1, order)).shift(1)
+
+
+def beta_by_series_division(s: int, order: int) -> TruncatedSeries:
+    """beta(z,z^s) summed term by term with TruncatedSeries arithmetic."""
+    total = TruncatedSeries.zero(order)
+    prod = TruncatedSeries.one(order)
+    k = 1
+    while 2 * k - 1 + s <= order:
+        prod = prod / _one_minus(2 * k - 1 + s, order)
+        total = total + prod.shift(2 * k - 1 + s)
+        k += 1
+    return -total
+
+
+@pytest.mark.parametrize(
+    "maker, reference",
+    [(alpha_series, alpha_by_series_division), (beta_series, beta_by_series_division)],
+)
+@pytest.mark.parametrize("s, variant", [(0, "one"), (1, "z")])
+def test_ksums_match_series_division(maker, reference, s, variant):
+    # the in-place integer-list recurrence against the k-sums written out
+    # as divisions by 1 - z^m, shifts and sums of whole series
+    for order in [*range(41), 224]:
+        got = maker(variant, order)
+        assert got == reference(s, order), (variant, order)
+        assert all(type(c) is int for c in got.coeffs)
+
+
+def test_cold_bundle_builds_a_constant_number_of_series(monkeypatch):
+    # the k-sums build each series once, not a handful per k-term, so the
+    # work outside the O(N) inner loops does not grow with the order
+    calls = 0
+    init = TruncatedSeries.__init__
+
+    def counting_init(self, coeffs):
+        nonlocal calls
+        calls += 1
+        init(self, coeffs)
+
+    monkeypatch.setattr(TruncatedSeries, "__init__", counting_init)
+    counts = {}
+    for order in (64, 224):
+        for f in vars(gf).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+        calls = 0
+        series_bundle(order)
+        counts[order] = calls
+    assert counts[64] == counts[224] <= 24, counts
+
+
 # ------------------------------------------------------------- denominator
 
 
