@@ -10,14 +10,13 @@ ARNDT_CARLITZ_CAP environment variable.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import NamedTuple, Optional
 
-from mpmath import mp, mpf
+import arndt_carlitz
 
-from . import asymptotics, compositions, gf
+from . import compositions, gf
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -26,6 +25,9 @@ EXIT_MISMATCH = 4
 EXIT_PRECISION = 5
 
 CAP_ENV_VAR = "ARNDT_CARLITZ_CAP"
+
+# upper bound of `asymptotics --digits`: 1000 digits take about 5 s
+MAX_DIGITS = 1000
 
 # low-order reference coefficients (independently certified by enumeration)
 _GOLDEN_EVEN = (0, 0, 0, 1, 1, 2, 3, 5, 7, 12, 20, 30)
@@ -79,6 +81,13 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _digits(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_DIGITS}, got {value}")
+    return value
+
+
 def _counts_for(n: int, method: str, cap: int) -> OutputRecord:
     if method == "brute":
         c = compositions.count_brute_force(n, cap)
@@ -112,6 +121,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
     if args.format == "plain":
         print(" ".join(str(c) for c in coeffs))
     elif args.format == "json":
+        import json
+
         payload = {
             "query": "series",
             "parity": args.parity,
@@ -138,6 +149,9 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_asymptotics(args: argparse.Namespace) -> int:
+    from mpmath import mp
+    from . import asymptotics
+
     digits = args.digits
     # extra internal digits so every displayed digit is converged
     internal = max(digits, 20) + 5
@@ -204,6 +218,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report(f"counts n=1..{args.max_n} (brute vs gf vs slice)", all_match, mismatch_detail)
 
     if args.order >= 24:
+        from mpmath import mp, mpf
+        from . import asymptotics
+
         total = gf.total_series(args.order)
         samples = (args.order // 4, args.order // 2, 3 * args.order // 4)
         with mp.workdps(35):
@@ -254,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.set_defaults(func=_cmd_list)
 
     p_asym = sub.add_parser("asymptotics", help="dominant pole and residue constants")
-    p_asym.add_argument("--digits", type=_positive_int, default=20)
+    p_asym.add_argument("--digits", type=_digits, default=20,
+                        help=f"significant digits, 1 to {MAX_DIGITS} (default 20)")
     p_asym.set_defaults(func=_cmd_asymptotics)
 
     p_verify = sub.add_parser("verify", help="run the cross-verification harness")
@@ -276,11 +294,13 @@ def main(argv=None) -> int:
     except compositions.CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    # evaluated only when an exception gets this far: the package resolves
+    # these names on first use, so the exact commands never import mpmath
     except (
-        asymptotics.DomainError,
-        asymptotics.BracketError,
-        asymptotics.PrecisionError,
-        asymptotics.DegeneratePoleError,
+        arndt_carlitz.DomainError,
+        arndt_carlitz.BracketError,
+        arndt_carlitz.PrecisionError,
+        arndt_carlitz.DegeneratePoleError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from mpmath import mpf
@@ -196,6 +199,22 @@ def test_asymptotics_fifteen_digit_growth(capsys):
     assert growth == "1.59260772923814"
 
 
+def test_asymptotics_digits_bound(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["asymptotics", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert f"1 to {cli.MAX_DIGITS}" in capsys.readouterr().out
+    # the largest value in use: perfbench/make_reference.py checks at 140 digits
+    for digits in (1, 140, cli.MAX_DIGITS):
+        args = cli.build_parser().parse_args(["asymptotics", "--digits", str(digits)])
+        assert args.digits == digits
+    for digits in (cli.MAX_DIGITS + 1, 100_000):
+        with pytest.raises(SystemExit) as exc:
+            main(["asymptotics", "--digits", str(digits)])
+        assert exc.value.code == EXIT_USAGE
+        assert f"must be <= {cli.MAX_DIGITS}, got {digits}" in capsys.readouterr().err
+
+
 def test_asymptotics_precision_failure_exit(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise BracketError("no sign change")
@@ -306,3 +325,56 @@ def test_verify_small_order_skips_ratio_check(capsys):
     assert code == EXIT_OK
     assert "skipped: growth-ratio convergence" in out
     assert "verify: PASS" in out
+
+
+# ------------------------------------------------------- lazy numeric layer
+
+NUMERIC_MODULES = ("mpmath", "logging", "arndt_carlitz.asymptotics")
+
+# runs each argv through cli.main in one fresh interpreter and prints, per
+# call, its exit code and which of NUMERIC_MODULES are loaded after it
+_PROBE = """
+import contextlib, io, json, sys
+from arndt_carlitz.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(json.dumps([code, [m for m in json.loads(sys.argv[2]) if m in sys.modules]]))
+"""
+
+
+def probe_modules(*argvs):
+    # the child imports the package from this process's path: the tree under test
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(argvs), json.dumps(NUMERIC_MODULES)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def test_exact_commands_never_load_the_numeric_layer():
+    formats = ("plain", "json", "csv", "bfile")
+    argvs = [["series", "--order", "40", "--format", fmt] for fmt in formats]
+    argvs += [["count", "--n", "12", "--method", m] for m in ("gf", "slice", "brute")]
+    argvs += [["list", "--n", "8"]]
+    assert probe_modules(*argvs) == [[EXIT_OK, []]] * len(argvs)
+
+
+@pytest.mark.parametrize(
+    "argv", [["asymptotics", "--digits", "20"], ["verify", "--order", "24"]]
+)
+def test_numeric_commands_load_the_numeric_layer(argv):
+    assert probe_modules(argv) == [[EXIT_OK, list(NUMERIC_MODULES)]]
+
+
+def test_unrelated_exception_is_not_mapped_to_exit_five(monkeypatch):
+    boom = RuntimeError("not a numeric failure")
+
+    def broken(order):
+        raise boom
+
+    monkeypatch.setattr(gf, "series_bundle", broken)
+    with pytest.raises(RuntimeError) as exc:
+        main(["series", "--order", "8"])
+    assert exc.value is boom
