@@ -7,6 +7,22 @@ generating functions, slice-recurrence iteration) and computes the
 dominant-pole asymptotics of the counting sequences.
 """
 
+from .asymptotics import (
+    AsymptoticEstimate,
+    BracketError,
+    DegeneratePoleError,
+    DomainError,
+    PrecisionError,
+    amplitudes,
+    asymptotic_count,
+    denominator_derivative,
+    denominator_derivative_via_series,
+    eval_alpha,
+    eval_beta,
+    eval_denominator,
+    eval_numerator,
+    find_rho,
+)
 from .compositions import (
     CapExceededError,
     Composition,
@@ -82,17 +98,3 @@ __all__ = [
     "slice_iteration_series",
     "total_series",
 ]
-
-
-def __getattr__(name):
-    # The numeric names of __all__ resolve on first use (PEP 562), so the
-    # exact counting paths never import asymptotics and, through it, mpmath.
-    if name in __all__:
-        from . import asymptotics
-
-        return getattr(asymptotics, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

@@ -18,19 +18,21 @@ s = 1 (variant "z") selects alpha(x,1)/beta(x,1) or alpha(x,x)/beta(x,x).
 One pass over k (`_ksums`) sums all four k-sums and their x-derivatives
 together, so D, Num and the analytic D' come from a single evaluation.
 The truncated exact series from the gf module double as an independent
-cross-check for every evaluator.
+cross-check for every evaluator.  mpmath and logging are imported inside
+the functions that use them, so importing this module (as the package and
+the CLI do for every command) leaves them unloaded for the exact commands.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from typing import NamedTuple
-
-from mpmath import mp, mpf
+from typing import TYPE_CHECKING, NamedTuple
 
 from .gf import _variant_shift, denominator_series
 from .series import TruncatedSeries
+
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 DEFAULT_DPS = 30
 
@@ -48,8 +50,6 @@ _MAX_TERMS = 100_000
 _MIN_RUNG = 15
 
 _MAX_STEPS_PER_RUNG = 100
-
-log = logging.getLogger(__name__)
 
 
 class DomainError(ValueError):
@@ -95,6 +95,8 @@ class _KSums(NamedTuple):
 
 
 def _check_domain(x) -> mpf:
+    from mpmath import mpf
+
     xv = mpf(x)
     if not 0 < xv < 1:
         raise DomainError(f"evaluation point must lie in (0, 1), got {xv}")
@@ -102,6 +104,8 @@ def _check_domain(x) -> mpf:
 
 
 def _default_tol(dps: int) -> mpf:
+    from mpmath import mpf
+
     return mpf(10) ** (-(dps + 5))
 
 
@@ -134,6 +138,8 @@ def _ksums(x, tol=None, dps: int = DEFAULT_DPS) -> _KSums:
     derivative terms beat their thresholds; the second is the defensive
     extra evaluation.
     """
+    from mpmath import mp, mpf
+
     with mp.workdps(dps):
         xv = _check_domain(x)
         tolv = _default_tol(dps) if tol is None else mpf(tol)
@@ -234,6 +240,8 @@ def eval_numerator(x, tol=None, dps: int = DEFAULT_DPS) -> mpf:
 
 def _budget(dps: int) -> mpf:
     """|D| above this is far beyond the evaluation error at dps digits, so its sign holds."""
+    from mpmath import mpf
+
     return mpf(10) ** (-mpf(dps) / 2)
 
 
@@ -259,6 +267,10 @@ def find_rho(digits: int = 20, bracket=DEFAULT_BRACKET) -> mpf:
     the root stays enclosed.  The iteration stops once a step at full
     working precision is below 10^-(digits+8).
     """
+    import logging
+
+    from mpmath import mp, mpf
+
     if digits < 10:
         raise ValueError(f"digits must be >= 10, got {digits}")
     working = digits + GUARD_DIGITS
@@ -321,7 +333,7 @@ def find_rho(digits: int = 20, bracket=DEFAULT_BRACKET) -> mpf:
                         f"Newton refinement did not converge to {digits} digits "
                         f"on {bracket}"
                     )
-    log.debug(
+    logging.getLogger(__name__).debug(
         "find_rho digits=%d ladder=%s passes=%d newton=%d bisection=%d "
         "k_terms=%d |dx|=%s",
         digits, ladder, passes, newton_steps, bisection_steps, sums.terms,
@@ -336,6 +348,8 @@ def denominator_derivative(x, digits: int = 20) -> mpf:
 
 
 def _series_value(series: TruncatedSeries, x: mpf) -> mpf:
+    from mpmath import mpf
+
     acc = mpf(0)
     for c in reversed(series.coeffs):
         acc = acc * x + mpf(c.numerator) / c.denominator
@@ -348,6 +362,8 @@ def denominator_derivative_via_series(x, order: int = 250, dps: int = DEFAULT_DP
     At rho the tail beyond `order` is about 1e-37 at order 250 (rho^250 is
     3e-51), so order 250 checks D'(rho) to about 35 digits.
     """
+    from mpmath import mp
+
     with mp.workdps(dps):
         xv = _check_domain(x)
         return _series_value(denominator_series(order).derivative(), xv)
@@ -362,12 +378,16 @@ def amplitudes(rho, digits: int = 20) -> AsymptoticEstimate:
     come from one pass over the k-sums.  A rho with |D(rho)| above
     10^(-digits/2) raises DomainError.
     """
+    import logging
+
+    from mpmath import mp, mpf
+
     working = digits + GUARD_DIGITS
     sums = _ksums(rho, None, working)
     with mp.workdps(working):
         rv = sums.x
         residual = abs(sums.denominator)
-        log.debug(
+        logging.getLogger(__name__).debug(
             "amplitudes digits=%d |D(rho)|=%s k_terms=%d",
             digits, mp.nstr(residual, 3), sums.terms,
         )
@@ -400,6 +420,8 @@ def amplitudes(rho, digits: int = 20) -> AsymptoticEstimate:
 
 def asymptotic_count(n: int, est: AsymptoticEstimate, parity: str = "total") -> mpf:
     """c_parity * (1/rho)^n: the leading-order approximation to the counts."""
+    from mpmath import mp
+
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     amplitude = {

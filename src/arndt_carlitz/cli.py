@@ -14,9 +14,7 @@ import os
 import sys
 from typing import NamedTuple, Optional
 
-import arndt_carlitz
-
-from . import compositions, gf
+from . import asymptotics, compositions, gf
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -150,7 +148,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_asymptotics(args: argparse.Namespace) -> int:
     from mpmath import mp
-    from . import asymptotics
 
     digits = args.digits
     # extra internal digits so every displayed digit is converged
@@ -219,7 +216,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     if args.order >= 24:
         from mpmath import mp, mpf
-        from . import asymptotics
 
         total = gf.total_series(args.order)
         samples = (args.order // 4, args.order // 2, 3 * args.order // 4)
@@ -294,13 +290,11 @@ def main(argv=None) -> int:
     except compositions.CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    # evaluated only when an exception gets this far: the package resolves
-    # these names on first use, so the exact commands never import mpmath
     except (
-        arndt_carlitz.DomainError,
-        arndt_carlitz.BracketError,
-        arndt_carlitz.PrecisionError,
-        arndt_carlitz.DegeneratePoleError,
+        asymptotics.DomainError,
+        asymptotics.BracketError,
+        asymptotics.PrecisionError,
+        asymptotics.DegeneratePoleError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION

@@ -329,7 +329,8 @@ def test_verify_small_order_skips_ratio_check(capsys):
 
 # ------------------------------------------------------- lazy numeric layer
 
-NUMERIC_MODULES = ("mpmath", "logging", "arndt_carlitz.asymptotics")
+# imported inside the asymptotics functions, not when the package loads
+NUMERIC_MODULES = ("mpmath", "logging")
 
 # runs each argv through cli.main in one fresh interpreter and prints, per
 # call, its exit code and which of NUMERIC_MODULES are loaded after it
