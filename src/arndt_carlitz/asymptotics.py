@@ -25,7 +25,6 @@ the CLI do for every command) leaves them unloaded for the exact commands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .gf import _variant_shift, denominator_series
@@ -68,8 +67,7 @@ class DegeneratePoleError(ArithmeticError):
     """|D'(rho)| is numerically zero; the simple-pole formulas do not apply."""
 
 
-@dataclass(frozen=True)
-class AsymptoticEstimate:
+class AsymptoticEstimate(NamedTuple):
     """Dominant pole and residue constants: counts(n) ~ c * growth^n."""
 
     rho: mpf

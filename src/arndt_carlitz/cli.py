@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import NamedTuple, Optional
 
 from . import asymptotics, compositions, gf
 
@@ -43,15 +42,6 @@ class UsageError(ValueError):
     """Bad argument combination detected after parsing."""
 
 
-class OutputRecord(NamedTuple):
-    n: int
-    even: int
-    odd: int
-    total: int
-    asymptotic_total: Optional[str] = None
-    relative_error: Optional[str] = None
-
-
 def _brute_cap() -> int:
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
@@ -65,45 +55,40 @@ def _brute_cap() -> int:
     return cap
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _bounded_int(low: int, high: int | None = None):
+    """argparse type for an integer in [low, high] (no upper bound if high is None)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        return value
+
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _digits(text: str) -> int:
-    value = _positive_int(text)
-    if value > MAX_DIGITS:
-        raise argparse.ArgumentTypeError(f"must be <= {MAX_DIGITS}, got {value}")
-    return value
-
-
-def _counts_for(n: int, method: str, cap: int) -> OutputRecord:
+def _counts_for(n: int, method: str, cap: int) -> compositions.ParityCounts:
     if method == "brute":
-        c = compositions.count_brute_force(n, cap)
-        return OutputRecord(n, c.even, c.odd, c.total)
+        return compositions.count_brute_force(n, cap)
     bundle = gf.series_bundle(n) if method == "gf" else gf.slice_bundle(n)
     even = int(bundle.even.coefficient(n))
     odd = int(bundle.odd.coefficient(n))
-    return OutputRecord(n, even, odd, even + odd)
+    return compositions.ParityCounts(even, odd, even + odd)
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    record = _counts_for(args.n, args.method, _brute_cap())
-    fields = {"even": record.even, "odd": record.odd, "total": record.total}
+    counts = _counts_for(args.n, args.method, _brute_cap())
+    fields = {"even": counts.even, "odd": counts.odd, "total": counts.total}
     if args.parity == "all":
         shown = fields
     else:
         shown = {args.parity: fields[args.parity]}
-    parts = [f"n={record.n}"] + [f"{k}={v}" for k, v in shown.items()]
+    parts = [f"n={args.n}"] + [f"{k}={v}" for k, v in shown.items()]
     print(" ".join(parts))
     return EXIT_OK
 
@@ -248,13 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", help="count compositions of n by parity")
-    p_count.add_argument("--n", type=_positive_int, required=True)
+    p_count.add_argument("--n", type=_bounded_int(1), required=True)
     p_count.add_argument("--parity", choices=compositions.PARITIES, default="all")
     p_count.add_argument("--method", choices=("brute", "gf", "slice"), default="gf")
     p_count.set_defaults(func=_cmd_count)
 
     p_series = sub.add_parser("series", help="emit counting-series coefficients")
-    p_series.add_argument("--order", type=_nonnegative_int, default=gf.DEFAULT_ORDER)
+    p_series.add_argument("--order", type=_bounded_int(0), default=gf.DEFAULT_ORDER)
     p_series.add_argument("--parity", choices=compositions.PARITIES, default="all")
     p_series.add_argument(
         "--format", choices=("plain", "json", "csv", "bfile"), default="plain"
@@ -262,18 +247,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.set_defaults(func=_cmd_series)
 
     p_list = sub.add_parser("list", help="list the compositions of n")
-    p_list.add_argument("--n", type=_positive_int, required=True)
+    p_list.add_argument("--n", type=_bounded_int(1), required=True)
     p_list.add_argument("--parity", choices=compositions.PARITIES, default="all")
     p_list.set_defaults(func=_cmd_list)
 
     p_asym = sub.add_parser("asymptotics", help="dominant pole and residue constants")
-    p_asym.add_argument("--digits", type=_digits, default=20,
+    p_asym.add_argument("--digits", type=_bounded_int(1, MAX_DIGITS), default=20,
                         help=f"significant digits, 1 to {MAX_DIGITS} (default 20)")
     p_asym.set_defaults(func=_cmd_asymptotics)
 
     p_verify = sub.add_parser("verify", help="run the cross-verification harness")
-    p_verify.add_argument("--max-n", type=_positive_int, default=16, dest="max_n")
-    p_verify.add_argument("--order", type=_nonnegative_int, default=gf.DEFAULT_ORDER)
+    p_verify.add_argument("--max-n", type=_bounded_int(1), default=16, dest="max_n")
+    p_verify.add_argument("--order", type=_bounded_int(0), default=gf.DEFAULT_ORDER)
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

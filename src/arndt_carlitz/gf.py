@@ -45,17 +45,18 @@ F(z,z) being exactly the correction for the forbidden repeat of the last
 part (each even-part composition contributes z^(n + last part), which the
 brute-force oracle confirms).
 
-Two independent computation paths are provided: the closed forms above
-(production path) and direct iteration of the slice recurrence
-(cross-check path, slower).  Their agreement, plus agreement with
-exhaustive enumeration, is the module's correctness argument.
+Two independent computation paths are provided, both on int lists: the
+closed forms above (production path) and direct iteration of the slice
+recurrence on dense rows (cross-check path, slower).  Their agreement,
+plus agreement with exhaustive enumeration, is the module's correctness
+argument.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import add, sub
+from typing import NamedTuple
 
 from .series import BivariateTruncatedSeries, TruncatedSeries
 
@@ -198,8 +199,7 @@ def total_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     return even_series(order) + odd_series(order)
 
 
-@dataclass(frozen=True)
-class SeriesBundle:
+class SeriesBundle(NamedTuple):
     """The four counting series at one truncation order."""
 
     even: TruncatedSeries
@@ -220,37 +220,51 @@ def series_bundle(order: int = DEFAULT_ORDER) -> SeriesBundle:
     )
 
 
-def _slice_kernel(order: int) -> BivariateTruncatedSeries:
-    """z^3*u/((1-z)(1-z^2*u)); also the first slice a_1(z,u)."""
-    zu2 = BivariateTruncatedSeries.geometric_zu(2, order).mul_monomial(0, 1)
-    return zu2.mul_univariate(TruncatedSeries.geometric(1, order).shift(3))
+def _add_slice_kernel(rows: list, f: list) -> list:
+    """rows += z^3*u/((1-z)(1-z^2*u)) * f(z), in place on dense rows.
+
+    The kernel is the sum over q >= 1 of z^(2q+1)*u^q/(1-z), so it puts the
+    prefix sums of f into row q from z^(2q+1) on.  f is overwritten.
+    """
+    prefix = _divide_one_minus(f, 1)
+    for q in range(1, len(rows)):
+        rows[q][2 * q + 1:] = map(add, rows[q][2 * q + 1:], prefix)
+    return rows
 
 
 @lru_cache(maxsize=16)
 def slice_iteration_series(order: int = DEFAULT_ORDER) -> BivariateTruncatedSeries:
     """F(z,u) by direct iteration of the slice recurrence (cross-check path).
 
-    Each slice contributes at least z^3 (the smallest admissible pair is
-    2 > 1), so a_k has z-valuation 3k and the loop ends once the truncated
-    a_k vanishes.
+    a_k is kept as dense int rows: a[q][p] is the coefficient of z^p*u^q,
+    q being the last part.  The smallest slice ending in q is (q+1, q), so
+    row q starts at z^(2q+1) and rows above order/2 are never stored.  Each
+    slice contributes at least z^3 (the smallest admissible pair is 2 > 1),
+    so a_k has z-valuation 3k and the loop ends once the truncated a_k
+    vanishes.
     """
     _validate_order(order)
-    kernel = _slice_kernel(order)
-    zu_geom = BivariateTruncatedSeries.geometric_zu(1, order)  # 1/(1-zu)
-    w = zu_geom.mul_monomial(1, 1)                             # zu/(1-zu)
-    a = kernel
-    total = a
-    while not a.is_zero():
-        at_one = a.substitute_u("one")
-        at_z = a.substitute_u("z")
-        rescaled = a.substitute_u("z2u")
-        a = (
-            kernel.mul_univariate(at_one)
-            - w.mul_univariate(at_z)
-            + zu_geom * rescaled
-        )
-        total = total + a
-    return total
+    n = order
+    a = _add_slice_kernel([[0] * (n + 1) for _ in range(n // 2 + 1)], [1] + [0] * n)
+    total = [row[:] for row in a]
+    while any(map(any, a)):
+        at_one = [sum(col) for col in zip(*a)]  # a_k(z,1)
+        at_z = [0] * (n + 1)                    # a_k(z,z)
+        for q, row in enumerate(a):
+            at_z[q:] = map(add, at_z[q:], row[: n + 1 - q])
+        # (a_k(z, z^2*u) - zu*a_k(z,z)) / (1 - zu), one row after the other
+        a = [[0] * (2 * q) + row[: n + 1 - 2 * q] for q, row in enumerate(a)]
+        a[1][1:] = map(sub, a[1][1:], at_z[:n])
+        for q in range(1, len(a)):
+            a[q][1:] = map(add, a[q][1:], a[q - 1][:n])
+        _add_slice_kernel(a, at_one)
+        # row q of a_k starts at z^(3k+2q-2), so an empty top row stays empty
+        while a and not any(a[-1]):
+            a.pop()
+        for t, row in zip(total, a):
+            t[:] = map(add, t, row)
+    terms = {(p, q): v for q, row in enumerate(total) for p, v in enumerate(row) if v}
+    return BivariateTruncatedSeries(terms, n)
 
 
 def slice_bundle(order: int = DEFAULT_ORDER) -> SeriesBundle:

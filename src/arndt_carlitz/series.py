@@ -69,16 +69,6 @@ class TruncatedSeries:
             cs[exponent] = _frac(coeff)
         return cls(cs)
 
-    @classmethod
-    def geometric(cls, step: int, order: int) -> "TruncatedSeries":
-        """1/(1 - z^step): coefficient 1 at exponents 0, step, 2*step, ..."""
-        if step < 1:
-            raise ValueError(f"step must be >= 1, got {step}")
-        cs = [0] * (order + 1)
-        for e in range(0, order + 1, step):
-            cs[e] = 1
-        return cls(cs)
-
     # -- accessors ---------------------------------------------------------
 
     @property
@@ -229,8 +219,7 @@ class BivariateTruncatedSeries:
     Sparse representation: only nonzero (z-power, u-power) -> coefficient
     entries are stored.  u is an auxiliary marker (it records the value of
     the last part in the slice recurrence), so there is a substitution map
-    back into univariate series for u -> 1 and u -> z, plus the rewrite
-    u -> z^2*u used when a recurrence step rescales the marker.
+    back into univariate series for u -> 1 and u -> z.
     """
 
     __slots__ = ("_coeffs", "_order")
@@ -349,28 +338,13 @@ class BivariateTruncatedSeries:
                     out[key] = out.get(key, 0) + v1 * c
         return BivariateTruncatedSeries(out, n)
 
-    def mul_monomial(
-        self, zpow: int, upow: int, coeff: Scalar = 1
-    ) -> "BivariateTruncatedSeries":
-        """Multiply by coeff * z^zpow * u^upow."""
-        cf = _frac(coeff)
-        out = {
-            (p + zpow, q + upow): v * cf
-            for (p, q), v in self._coeffs.items()
-            if p + zpow <= self._order and q + upow <= self._order
-        }
-        return BivariateTruncatedSeries(out, self._order)
-
     # -- substitution ------------------------------------------------------
 
-    def substitute_u(
-        self, mode: str
-    ) -> Union[TruncatedSeries, "BivariateTruncatedSeries"]:
-        """Substitute for the marker u.
+    def substitute_u(self, mode: str) -> TruncatedSeries:
+        """Substitute for the marker u, giving a series in z.
 
-        mode "one":  u -> 1,     giving a series in z.
-        mode "z":    u -> z,     giving a series in z (terms past the order drop).
-        mode "z2u":  u -> z^2*u, staying bivariate.
+        mode "one":  u -> 1.
+        mode "z":    u -> z (terms past the order drop).
         """
         n = self._order
         if mode == "one":
@@ -384,14 +358,7 @@ class BivariateTruncatedSeries:
                 if p + q <= n:
                     out[p + q] += v
             return TruncatedSeries(out)
-        if mode == "z2u":
-            d = {
-                (p + 2 * q, q): v
-                for (p, q), v in self._coeffs.items()
-                if p + 2 * q <= n
-            }
-            return BivariateTruncatedSeries(d, n)
-        raise ValueError(f"mode must be 'one', 'z' or 'z2u', got {mode!r}")
+        raise ValueError(f"mode must be 'one' or 'z', got {mode!r}")
 
     # -- dunder plumbing -----------------------------------------------------
 

@@ -308,6 +308,25 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "abc"],
+        ["list", "--n", "1.5"],
+        ["series", "--order", "abc"],
+        ["verify", "--max-n", "abc"],
+        ["verify", "--order", ""],
+        ["asymptotics", "--digits", "abc"],
+    ],
+)
+def test_non_integer_arguments_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {argv[1]}: must be an integer, got {argv[2]!r}\n")
+
+
 def test_count_parity_odd(capsys):
     code, out, _ = run(capsys, "count", "--n", "8", "--parity", "odd", "--method", "brute")
     assert code == EXIT_OK
@@ -344,10 +363,10 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def probe_modules(*argvs):
+def probe_modules(*argvs, modules=NUMERIC_MODULES):
     # the child imports the package from this process's path: the tree under test
     done = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argvs), json.dumps(NUMERIC_MODULES)],
+        [sys.executable, "-c", _PROBE, json.dumps(argvs), json.dumps(modules)],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
         capture_output=True, text=True, check=True, timeout=120,
     )
@@ -359,7 +378,9 @@ def test_exact_commands_never_load_the_numeric_layer():
     argvs = [["series", "--order", "40", "--format", fmt] for fmt in formats]
     argvs += [["count", "--n", "12", "--method", m] for m in ("gf", "slice", "brute")]
     argvs += [["list", "--n", "8"]]
-    assert probe_modules(*argvs) == [[EXIT_OK, []]] * len(argvs)
+    # the package's records are NamedTuples: dataclasses stays unloaded too
+    modules = NUMERIC_MODULES + ("dataclasses",)
+    assert probe_modules(*argvs, modules=modules) == [[EXIT_OK, []]] * len(argvs)
 
 
 @pytest.mark.parametrize(

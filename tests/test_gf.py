@@ -22,7 +22,7 @@ from arndt_carlitz.gf import (
     slice_iteration_series,
     total_series,
 )
-from arndt_carlitz.series import TruncatedSeries
+from arndt_carlitz.series import BivariateTruncatedSeries, TruncatedSeries
 
 # z^0..z^11, exhaustively cross-checked against enumeration
 EVEN_PREFIX = (0, 0, 0, 1, 1, 2, 3, 5, 7, 12, 20, 30)
@@ -322,6 +322,42 @@ def test_slice_terms_record_last_part():
         assert 1 <= q <= (p - 1) // 2
 
 
+def slice_iteration_by_dicts(order: int) -> BivariateTruncatedSeries:
+    """F(z,u) by the slice recurrence on sparse bivariate series products."""
+
+    def monomial(zpow, upow):
+        return BivariateTruncatedSeries.monomial(zpow, upow, order)
+
+    z_geom = TruncatedSeries([1] * (order + 1))                # 1/(1-z)
+    zu_geom = BivariateTruncatedSeries.geometric_zu(1, order)  # 1/(1-zu)
+    w = zu_geom * monomial(1, 1)                               # zu/(1-zu)
+    # z^3*u/(1-z^2*u); times z_geom it is the kernel and a_1
+    kernel = BivariateTruncatedSeries.geometric_zu(2, order) * monomial(3, 1)
+    a = total = kernel.mul_univariate(z_geom)
+    while not a.is_zero():
+        rescaled = BivariateTruncatedSeries(
+            {(p + 2 * q, q): v for p, q, v in a.terms()}, order
+        )                                                      # a(z, z^2*u)
+        a = (
+            kernel.mul_univariate(z_geom * a.substitute_u("one"))
+            - w.mul_univariate(a.substitute_u("z"))
+            + zu_geom * rescaled
+        )
+        total = total + a
+    return total
+
+
+def test_slice_rows_match_dict_iteration():
+    # the dense-row recurrence against the same recurrence written out as
+    # products of sparse bivariate series
+    for order in range(65):
+        got = slice_iteration_series(order)
+        expected = slice_iteration_by_dicts(order)
+        assert list(got.terms()) == list(expected.terms()), order
+        assert got.order == expected.order == order
+        assert all(type(v) is int for _p, _q, v in got.terms())
+
+
 def test_slice_matches_closed_form():
     for order in (11, 20, 48):
         f = slice_iteration_series(order)
@@ -330,11 +366,14 @@ def test_slice_matches_closed_form():
 
 
 def test_slice_bundle_matches_series_bundle():
-    a = slice_bundle(16)
-    b = series_bundle(16)
-    assert a.even == b.even
-    assert a.odd == b.odd
-    assert a.total == b.total
+    # 256: the highest order the benchmark exports
+    for order in (16, 256):
+        a = slice_bundle(order)
+        b = series_bundle(order)
+        assert a.even == b.even
+        assert a.fzz == b.fzz
+        assert a.odd == b.odd
+        assert a.total == b.total
 
 
 def test_slice_truncation_consistency():

@@ -25,6 +25,26 @@ def test_numeric_names_are_the_asymptotics_objects():
     assert arndt_carlitz.AsymptoticEstimate is asymptotics.AsymptoticEstimate
 
 
+@pytest.mark.parametrize(
+    "record, fields",
+    [
+        (arndt_carlitz.SeriesBundle, ("even", "fzz", "odd", "total", "order")),
+        (
+            arndt_carlitz.AsymptoticEstimate,
+            ("rho", "growth", "c_even", "c_odd", "c_total", "precision_digits"),
+        ),
+        (arndt_carlitz.ParityCounts, ("even", "odd", "total")),
+    ],
+)
+def test_records_are_immutable_with_fixed_fields(record, fields):
+    assert record._fields == fields
+    value = record(*range(len(fields)))
+    assert value == record(*range(len(fields)))
+    assert hash(value) == hash(record(*range(len(fields))))
+    with pytest.raises(AttributeError):
+        setattr(value, fields[0], -1)
+
+
 def test_dir_lists_all_public_names():
     assert set(arndt_carlitz.__all__) <= set(dir(arndt_carlitz))
 
