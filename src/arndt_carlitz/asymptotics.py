@@ -107,6 +107,40 @@ def _default_tol(dps: int) -> mpf:
     return mpf(10) ** (-(dps + 5))
 
 
+def _never_small(xv: mpf, value_threshold: mpf) -> bool:
+    """True if B_0(k) = x^(2k-1)/P_0(k) stays above e*value_threshold for all k <= _MAX_TERMS.
+
+    B_0 is log-concave (see `_ksums`), so the two ends of the range decide.
+    Both are bounded below in floats: ln B_0(1) = ln(x/(1-x)), and
+    ln B_0(_MAX_TERMS) = (2*_MAX_TERMS-1)*ln(x) - sum_j ln(1-x^(2j-1)),
+    whose sum is cut as soon as it settles the question (its terms are
+    positive and fall with j).  The factor e absorbs the float rounding.
+    """
+    import math
+
+    from mpmath import mag, mp
+
+    # value_threshold <= 2^mag, so this target errs on the side of the loop
+    target = mag(value_threshold) * math.log(2) + 1
+    with mp.workprec(64):
+        ln_x = float(mp.log(xv))
+        first = xv / (1 - xv)
+        low = (2 * _MAX_TERMS - 1) * ln_x
+        # the sum is at most (pi^2/6) * x/(1-x) (see `_ksums`)
+        if low + math.pi ** 2 / 6 * float(first) < target or float(mp.log(first)) < target:
+            return False
+    for j in range(1, _MAX_TERMS + 1):
+        if low >= target:
+            return True
+        # a float 1-x^m below 1e-300 stands for a true one below ~1e-300
+        # (ln x may have underflowed), so -ln(1e-300) stays a lower bound
+        term = -math.log(max(-math.expm1((2 * j - 1) * ln_x), 1e-300))
+        low += term
+        if low + (_MAX_TERMS - j) * term < target:
+            return False
+    return low >= target
+
+
 def _ksums(x, tol=None, dps: int = DEFAULT_DPS) -> _KSums:
     """alpha(x,x^s), beta(x,x^s) for s = 0, 1 and their x-derivatives, in one pass.
 
@@ -135,61 +169,122 @@ def _ksums(x, tol=None, dps: int = DEFAULT_DPS) -> _KSums:
     consecutive steps in which all four value terms and all four
     derivative terms beat their thresholds; the second is the defensive
     extra evaluation.
+
+    Fixed point: the loop runs on Python ints, an int n standing for
+    n/2^wp; a product is a*b >> wp and a reciprocal is one*2^wp // (one - p).
+    Only the eight sums become mpf, and alpha, beta, Num, D and D' are
+    assembled from them in mpf at dps.  Every term is nonnegative, so the
+    stop rule compares the ints themselves with the thresholds.  Let
+    L = 1/(1-x) and K = _MAX_TERMS >= k.  The products 1/P_s never exceed
+    prod_m 1/(1-x^m), whose log2 is at most
+
+        G = (pi^2/6) * x / ((1-x) * ln 2),
+
+    because 1-x^j >= j*x^(j-1)*(1-x) bounds -ln(1-x^j) = sum_r x^(jr)/r by
+    sum_r x/(r^2*(1-x)) for every j.  Each operation, and the conversion of
+    x, rounds by at most one unit u = 2^-wp.  To first order the powers
+    then carry at most 6uL; the reciprocals 7uL^3 (relative 7uL^2, so the
+    k factors of 1/P_s 8kuL^2); the t(m) 14uL^3; the value terms
+    23KuL^3*2^G; the weights, at most 7KL, 70K^2*uL^3 (H_s adds up to k
+    values of t, each times m_l <= 2l); and each derivative term
+    232K^2*uL^4*2^G.  Each of the eight sums adds at most K terms, so with
+
+        wp = bits + G + 3*bitlen(K) + 4*log2(L) + 18,
+
+    2^-bits <= the derivative threshold and bits >= the precision of dps
+    plus 2*log2(1/x) (alpha ~ x^2 keeps its relative precision as x -> 0),
+    every term and every sum lies within 2^-10 of that threshold of its
+    exact value: rounding moves neither the stop nor the digits.
+
+    Fail fast: B_0(k) = x^(2k-1)/P_0(k) has the step ratio
+    x^2/(1-x^(2k+1)), which falls with k, so B_0 is log-concave and its
+    minimum over 1 <= k <= _MAX_TERMS is B_0(1) or B_0(_MAX_TERMS).  If
+    a float lower bound puts both a factor e above the value threshold,
+    the pass can never stop, and it raises PrecisionError before the loop.
     """
-    from mpmath import mp, mpf
+    import math
+
+    from mpmath import ldexp, mag, mp, mpf
 
     with mp.workdps(dps):
         xv = _check_domain(x)
         tolv = _default_tol(dps) if tol is None else mpf(tol)
+        if not tolv > 0:
+            raise ValueError(f"tol must be > 0, got {tol}")
         x2 = xv * xv
         value_threshold = tolv * (1 - x2)
         slope_threshold = value_threshold * (1 - x2) * xv  # compared with x*term'
-        power = xv                   # x^(2k-1)
-        inv_odd = 1 / (1 - xv)       # 1/(1-x^(2k-1))
-        t_odd = power * inv_odd      # t(2k-1)
-        prod = [mpf(1), mpf(1)]      # 1/P_s(k-1)
-        logd = [mpf(0), mpf(0)]      # H_s(k-1)
-        sum_a, sum_b = [mpf(0), mpf(0)], [mpf(0), mpf(0)]
-        slope_a, slope_b = [mpf(0), mpf(0)], [mpf(0), mpf(0)]
+        stuck = (
+            f"tail of the k-sums did not reach {value_threshold} "
+            f"within {_MAX_TERMS} terms"
+        )
+        if _never_small(xv, value_threshold):
+            raise PrecisionError(stuck)
+        with mp.workprec(53):
+            inv_gap = float(1 / (1 - xv))
+        # G of the docstring, one bit up for the float rounding
+        guard = math.ceil(math.pi ** 2 / 6 * (inv_gap - 1) / math.log(2)) + 1
+        wp = (
+            max(mp.prec - 2 * mag(xv), 3 - mag(slope_threshold)) + guard
+            + 3 * _MAX_TERMS.bit_length() + 4 * math.ceil(math.log2(inv_gap)) + 18
+        )
+        one = 1 << wp
+        one_squared = one << wp
+        xf = int(ldexp(xv, wp))
+        xf2 = xf * xf >> wp
+        value_cut = int(ldexp(value_threshold, wp))
+        slope_cut = int(ldexp(slope_threshold, wp))
+        power = xf                   # x^(2k-1)
+        inv_odd = one_squared // (one - xf)  # 1/(1-x^(2k-1))
+        t_odd = power * inv_odd >> wp  # t(2k-1)
+        prod0 = prod1 = one          # 1/P_s(k-1)
+        logd0 = logd1 = 0            # H_s(k-1)
+        sum_a0 = sum_a1 = sum_b0 = sum_b1 = 0
+        slope_a0 = slope_a1 = slope_b0 = slope_b1 = 0
         small_run = 0
         k = 0
         while small_run < 2:
             k += 1
             if k > _MAX_TERMS:
-                raise PrecisionError(
-                    f"tail of the k-sums did not reach {value_threshold} "
-                    f"within {_MAX_TERMS} terms"
-                )
-            p_even, p_next = power * xv, power * x2
-            inv_even, inv_next = 1 / (1 - p_even), 1 / (1 - p_next)
-            t_even, t_next = p_even * inv_even, p_next * inv_next
+                raise PrecisionError(stuck)
+            p_even = power * xf >> wp
+            p_next = power * xf2 >> wp
+            inv_even = one_squared // (one - p_even)
+            inv_next = one_squared // (one - p_next)
+            t_even = p_even * inv_even >> wp
+            t_next = p_next * inv_next >> wp
             # alpha: A_0 uses t(2k), A_1 uses t(2k+1); both over P_s(k-1)
-            a_terms = (t_even * prod[0], t_next * prod[1])
-            a_slopes = (
-                a_terms[0] * ((2 * k) * (1 + t_even) + logd[0]),
-                a_terms[1] * ((2 * k + 1) * (1 + t_next) + logd[1]),
-            )
+            a_0 = t_even * prod0 >> wp
+            a_1 = t_next * prod1 >> wp
+            da_0 = a_0 * (2 * k * (one + t_even) + logd0) >> wp
+            da_1 = a_1 * ((2 * k + 1) * (one + t_next) + logd1) >> wp
             # P_s(k) = P_s(k-1) * (1 - x^(2k-1+s))
-            prod[0] *= inv_odd
-            prod[1] *= inv_even
-            logd[0] += (2 * k - 1) * t_odd
-            logd[1] += (2 * k) * t_even
-            b_terms = (power * prod[0], p_even * prod[1])
-            b_slopes = (
-                b_terms[0] * ((2 * k - 1) + logd[0]),
-                b_terms[1] * ((2 * k) + logd[1]),
-            )
-            for s in (0, 1):
-                sum_a[s] += a_terms[s]
-                sum_b[s] += b_terms[s]
-                slope_a[s] += a_slopes[s]
-                slope_b[s] += b_slopes[s]
+            prod0 = prod0 * inv_odd >> wp
+            prod1 = prod1 * inv_even >> wp
+            logd0 += (2 * k - 1) * t_odd
+            logd1 += 2 * k * t_even
+            b_0 = power * prod0 >> wp
+            b_1 = p_even * prod1 >> wp
+            db_0 = b_0 * ((2 * k - 1) * one + logd0) >> wp
+            db_1 = b_1 * (2 * k * one + logd1) >> wp
+            sum_a0 += a_0
+            sum_a1 += a_1
+            sum_b0 += b_0
+            sum_b1 += b_1
+            slope_a0 += da_0
+            slope_a1 += da_1
+            slope_b0 += db_0
+            slope_b1 += db_1
             small = (
-                max(abs(t) for t in a_terms + b_terms) < value_threshold
-                and max(abs(t) for t in a_slopes + b_slopes) < slope_threshold
+                max(a_0, a_1, b_0, b_1) < value_cut
+                and max(da_0, da_1, db_0, db_1) < slope_cut
             )
             small_run = small_run + 1 if small else 0
             power, inv_odd, t_odd = p_next, inv_next, t_next
+        sum_a = (mpf((sum_a0, -wp)), mpf((sum_a1, -wp)))
+        sum_b = (mpf((sum_b0, -wp)), mpf((sum_b1, -wp)))
+        slope_a = (mpf((slope_a0, -wp)), mpf((slope_a1, -wp)))
+        slope_b = (mpf((slope_b0, -wp)), mpf((slope_b1, -wp)))
         # alpha = x/(1-x) * S, so alpha' = (S/(1-x) + x*S')/(1-x)
         one_minus = 1 - xv
         alpha = tuple(xv / one_minus * sum_a[s] for s in (0, 1))
@@ -389,7 +484,7 @@ def amplitudes(rho, digits: int = 20) -> AsymptoticEstimate:
             "amplitudes digits=%d |D(rho)|=%s k_terms=%d",
             digits, mp.nstr(residual, 3), sums.terms,
         )
-        if residual > mpf(10) ** (-mpf(digits) / 2):
+        if residual > _budget(digits):
             raise DomainError(
                 f"rho={rv} is not a root of D (|D(rho)| = {residual})"
             )

@@ -23,7 +23,7 @@ EXIT_PRECISION = 5
 
 CAP_ENV_VAR = "ARNDT_CARLITZ_CAP"
 
-# upper bound of `asymptotics --digits`: 1000 digits take about 5 s
+# upper bound of `asymptotics --digits`: 1000 digits take about 1 s (2-core machine)
 MAX_DIGITS = 1000
 
 # low-order reference coefficients (independently certified by enumeration)

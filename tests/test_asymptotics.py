@@ -1,4 +1,5 @@
 import logging
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from arndt_carlitz import asymptotics
 from arndt_carlitz.asymptotics import (
     BracketError,
     DomainError,
+    PrecisionError,
     amplitudes,
     asymptotic_count,
     denominator_derivative,
@@ -54,6 +56,18 @@ TABULATED_C_EVEN = "0.18236796484521070938"
 TABULATED_C_ODD = "0.217010508476828474"
 TABULATED_C_TOTAL = "0.399378473322039"
 
+# k-terms of one fused pass at dps 20 and 100, as the floating-point loop
+# counted them before the pass ran on fixed-point integers: they pin the
+# stop rule
+KSUM_TERMS = {
+    "0.05": (13, 44),
+    "0.55": (56, 211),
+    "0.6": (66, 247),
+    "0.7": (95, 355),
+    "0.9": (359, 1238),
+    "0.97": (1614, 4653),
+}
+
 
 def test_eval_alpha_vanishes_at_origin():
     assert eval_alpha(mpf("0.001"), "one", dps=30) < mpf("1e-8")
@@ -99,6 +113,40 @@ def test_order_500_series_certify_rho():
         assert abs(d_500 - eval_denominator(rho, dps=80)) < mpf("1e-70")
         num_500 = at_rho(numerator_series(500))
         assert abs(num_500 - eval_numerator(rho, dps=80)) < mpf("1e-70")
+
+
+@pytest.mark.parametrize("x_str", list(KSUM_TERMS))
+def test_ksum_kernel_grid(x_str):
+    for dps, terms in zip((20, 100), KSUM_TERMS[x_str]):
+        with mp.workdps(dps):
+            x = mpf(x_str)
+        sums = asymptotics._ksums(x, None, dps)
+        assert sums.terms == terms
+        if x > mpf("0.7"):
+            continue
+        fine = asymptotics._ksums(x, None, dps + 60)
+        with mp.workdps(dps + 60):
+            for name in ("numerator", "denominator", "derivative"):
+                got, want = getattr(sums, name), getattr(fine, name)
+                bound = mpf(10) ** (2 - dps) * max(1, abs(want))
+                assert abs(got - want) < bound, (x_str, dps, name)
+
+
+@pytest.mark.parametrize("x_str", ["0.999", "0.999999"])
+def test_ksums_fail_fast_where_they_cannot_converge(x_str):
+    # B_0(k) stays above the value threshold for every k <= _MAX_TERMS, so
+    # the pass raises before its loop instead of after 100000 terms
+    for dps in (20, 100):
+        start = time.perf_counter()
+        with pytest.raises(PrecisionError):
+            asymptotics._ksums(mpf(x_str), None, dps)
+        assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("tol", [0, -1])
+def test_nonpositive_tol_is_rejected(tol):
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        eval_alpha(0.6, tol=tol)
 
 
 def test_beta_is_negative():
@@ -339,3 +387,30 @@ def test_coefficient_ratios_approach_growth():
             scaled = exact(series, 100) / scale
             assert abs(scaled - mpf(anchor)) < mpf("1e-17"), (anchor, scaled)
             assert abs(scaled - mpf(tabulated)) > mpf("1e-9"), (tabulated, scaled)
+
+
+def test_exact_coefficients_pin_the_pole_constants():
+    # The counts at n = 599 and 600 share no k-sum with the numeric path.
+    # Their pole-transfer error is ~1e-101 relative (|r(n)|^(1/n) settles
+    # near 1.078), so they confirm find_rho and amplitudes to ~100 digits.
+    bundle = series_bundle(600)
+    est = amplitudes(find_rho(110), 110)
+
+    def exact(series, n):
+        return mpf(int(series.coefficient(n)))
+
+    with mp.workdps(130):
+
+        def close(got, want):
+            return abs(got / want - 1) < mpf("1e-90")
+
+        growth = exact(bundle.total, 600) / exact(bundle.total, 599)
+        assert close(growth, est.growth)
+        assert close(growth, 1 / mpf(RHO_120))
+        scale = growth ** 599
+        for series, constant in (
+            (bundle.even, est.c_even),
+            (bundle.odd, est.c_odd),
+            (bundle.total, est.c_total),
+        ):
+            assert close(exact(series, 599) / scale, constant)
