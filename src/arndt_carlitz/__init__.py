@@ -5,6 +5,10 @@ interleaved chain s1 > s2 != s3 > s4 != s5 ...  The package counts them
 three mutually cross-checking ways (exhaustive enumeration, closed-form
 generating functions, slice-recurrence iteration) and computes the
 dominant-pole asymptotics of the counting sequences.
+
+The root exports the entry points and the records and errors they return
+or raise; the building blocks are imported from the modules
+`arndt_carlitz.gf`, `.asymptotics`, `.series` and `.compositions`.
 """
 
 from .asymptotics import (
@@ -15,53 +19,22 @@ from .asymptotics import (
     PrecisionError,
     amplitudes,
     asymptotic_count,
-    denominator_derivative,
-    denominator_derivative_via_series,
-    eval_alpha,
-    eval_beta,
-    eval_denominator,
-    eval_numerator,
     find_rho,
 )
 from .compositions import (
     CapExceededError,
-    Composition,
     DEFAULT_CAP,
     ParityCounts,
     count_brute_force,
-    enumerate_compositions,
-    is_arndt,
-    is_arndt_carlitz,
-    is_carlitz,
     list_arndt_carlitz,
 )
-from .gf import (
-    SeriesBundle,
-    SeriesConsistencyError,
-    alpha_series,
-    beta_series,
-    denominator_series,
-    even_series,
-    fzz_series,
-    numerator_series,
-    odd_series,
-    series_bundle,
-    slice_bundle,
-    slice_iteration_series,
-    total_series,
-)
-from .series import (
-    BivariateTruncatedSeries,
-    NonInvertibleSeriesError,
-    TruncatedSeries,
-)
+from .gf import SeriesBundle, SeriesConsistencyError, series_bundle, slice_bundle
+from .series import NonInvertibleSeriesError, TruncatedSeries
 
 __all__ = [
     "AsymptoticEstimate",
-    "BivariateTruncatedSeries",
     "BracketError",
     "CapExceededError",
-    "Composition",
     "DEFAULT_CAP",
     "DegeneratePoleError",
     "DomainError",
@@ -71,30 +44,11 @@ __all__ = [
     "SeriesBundle",
     "SeriesConsistencyError",
     "TruncatedSeries",
-    "alpha_series",
     "amplitudes",
     "asymptotic_count",
-    "beta_series",
     "count_brute_force",
-    "denominator_derivative",
-    "denominator_derivative_via_series",
-    "denominator_series",
-    "enumerate_compositions",
-    "eval_alpha",
-    "eval_beta",
-    "eval_denominator",
-    "eval_numerator",
-    "even_series",
     "find_rho",
-    "fzz_series",
-    "is_arndt",
-    "is_arndt_carlitz",
-    "is_carlitz",
     "list_arndt_carlitz",
-    "numerator_series",
-    "odd_series",
     "series_bundle",
     "slice_bundle",
-    "slice_iteration_series",
-    "total_series",
 ]

@@ -18,17 +18,18 @@ s = 1 (variant "z") selects alpha(x,1)/beta(x,1) or alpha(x,x)/beta(x,x).
 One pass over k (`_ksums`) sums all four k-sums and their x-derivatives
 together, so D, Num and the analytic D' come from a single evaluation.
 The truncated exact series from the gf module double as an independent
-cross-check for every evaluator.  mpmath and logging are imported inside
-the functions that use them, so importing this module (as the package and
-the CLI do for every command) leaves them unloaded for the exact commands.
+cross-check for every evaluator.  mpmath is imported inside the functions
+that use it, so importing this module (as the package and the CLI do for
+every command) leaves it unloaded for the exact commands; this module
+never imports logging (see `_debug`).
 """
 
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 from .gf import _variant_shift, denominator_series
-from .series import TruncatedSeries
 
 if TYPE_CHECKING:
     from mpmath import mpf
@@ -92,6 +93,17 @@ class _KSums(NamedTuple):
     terms: int
 
 
+def _debug(msg: str, *args) -> None:
+    """A DEBUG record of this module's logger, made only if logging is loaded.
+
+    A handler can only be configured by code that imported logging, so
+    when it is not loaded no one can receive the record.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).debug(msg, *args)
+
+
 def _check_domain(x) -> mpf:
     from mpmath import mpf
 
@@ -99,12 +111,6 @@ def _check_domain(x) -> mpf:
     if not 0 < xv < 1:
         raise DomainError(f"evaluation point must lie in (0, 1), got {xv}")
     return xv
-
-
-def _default_tol(dps: int) -> mpf:
-    from mpmath import mpf
-
-    return mpf(10) ** (-(dps + 5))
 
 
 def _never_small(xv: mpf, value_threshold: mpf) -> bool:
@@ -208,7 +214,7 @@ def _ksums(x, tol=None, dps: int = DEFAULT_DPS) -> _KSums:
 
     with mp.workdps(dps):
         xv = _check_domain(x)
-        tolv = _default_tol(dps) if tol is None else mpf(tol)
+        tolv = mpf(10) ** (-(dps + 5)) if tol is None else mpf(tol)
         if not tolv > 0:
             raise ValueError(f"tol must be > 0, got {tol}")
         x2 = xv * xv
@@ -360,8 +366,6 @@ def find_rho(digits: int = 20, bracket=DEFAULT_BRACKET) -> mpf:
     the root stays enclosed.  The iteration stops once a step at full
     working precision is below 10^-(digits+8).
     """
-    import logging
-
     from mpmath import mp, mpf
 
     if digits < 10:
@@ -426,7 +430,7 @@ def find_rho(digits: int = 20, bracket=DEFAULT_BRACKET) -> mpf:
                         f"Newton refinement did not converge to {digits} digits "
                         f"on {bracket}"
                     )
-    logging.getLogger(__name__).debug(
+    _debug(
         "find_rho digits=%d ladder=%s passes=%d newton=%d bisection=%d "
         "k_terms=%d |dx|=%s",
         digits, ladder, passes, newton_steps, bisection_steps, sums.terms,
@@ -440,15 +444,6 @@ def denominator_derivative(x, digits: int = 20) -> mpf:
     return _ksums(x, None, digits + GUARD_DIGITS).derivative
 
 
-def _series_value(series: TruncatedSeries, x: mpf) -> mpf:
-    from mpmath import mpf
-
-    acc = mpf(0)
-    for c in reversed(series.coeffs):
-        acc = acc * x + mpf(c.numerator) / c.denominator
-    return acc
-
-
 def denominator_derivative_via_series(x, order: int = 250, dps: int = DEFAULT_DPS) -> mpf:
     """D'(x) from the exact truncated series: independent of the evaluators.
 
@@ -459,7 +454,7 @@ def denominator_derivative_via_series(x, order: int = 250, dps: int = DEFAULT_DP
 
     with mp.workdps(dps):
         xv = _check_domain(x)
-        return _series_value(denominator_series(order).derivative(), xv)
+        return mp.polyval(denominator_series(order).derivative().coeffs[::-1], xv)
 
 
 def amplitudes(rho, digits: int = 20) -> AsymptoticEstimate:
@@ -471,8 +466,6 @@ def amplitudes(rho, digits: int = 20) -> AsymptoticEstimate:
     come from one pass over the k-sums.  A rho with |D(rho)| above
     10^(-digits/2) raises DomainError.
     """
-    import logging
-
     from mpmath import mp, mpf
 
     working = digits + GUARD_DIGITS
@@ -480,7 +473,7 @@ def amplitudes(rho, digits: int = 20) -> AsymptoticEstimate:
     with mp.workdps(working):
         rv = sums.x
         residual = abs(sums.denominator)
-        logging.getLogger(__name__).debug(
+        _debug(
             "amplitudes digits=%d |D(rho)|=%s k_terms=%d",
             digits, mp.nstr(residual, 3), sums.terms,
         )

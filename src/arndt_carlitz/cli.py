@@ -72,13 +72,15 @@ def _bounded_int(low: int, high: int | None = None):
     return parse
 
 
+def _bundle_counts(bundle: gf.SeriesBundle, n: int) -> compositions.ParityCounts:
+    even, odd = bundle.even.coefficient(n), bundle.odd.coefficient(n)
+    return compositions.ParityCounts(even, odd, even + odd)
+
+
 def _counts_for(n: int, method: str, cap: int) -> compositions.ParityCounts:
     if method == "brute":
         return compositions.count_brute_force(n, cap)
-    bundle = gf.series_bundle(n) if method == "gf" else gf.slice_bundle(n)
-    even = int(bundle.even.coefficient(n))
-    odd = int(bundle.odd.coefficient(n))
-    return compositions.ParityCounts(even, odd, even + odd)
+    return _bundle_counts(gf.series_bundle(n) if method == "gf" else gf.slice_bundle(n), n)
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -93,14 +95,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _series_for(parity: str, order: int):
-    bundle = gf.series_bundle(order)
-    return {"even": bundle.even, "odd": bundle.odd, "all": bundle.total}[parity]
-
-
 def _cmd_series(args: argparse.Namespace) -> int:
-    series = _series_for(args.parity, args.order)
-    coeffs = [int(c) for c in series.coeffs]
+    series = {"even": gf.even_series, "odd": gf.odd_series, "all": gf.total_series}
+    coeffs = series[args.parity](args.order).coeffs
     if args.format == "plain":
         print(" ".join(str(c) for c in coeffs))
     elif args.format == "json":
@@ -168,16 +165,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"FAIL: {name}{': ' + detail if detail else ''}")
 
     golden = gf.series_bundle(11)
-    report(
-        "golden even series z^0..z^11",
-        tuple(int(c) for c in golden.even.coeffs) == _GOLDEN_EVEN,
-        f"got {[int(c) for c in golden.even.coeffs]}",
-    )
-    report(
-        "golden odd series z^0..z^11",
-        tuple(int(c) for c in golden.odd.coeffs) == _GOLDEN_ODD,
-        f"got {[int(c) for c in golden.odd.coeffs]}",
-    )
+    for parity, expected in (("even", _GOLDEN_EVEN), ("odd", _GOLDEN_ODD)):
+        got = getattr(golden, parity).coeffs
+        report(f"golden {parity} series z^0..z^11", got == expected, f"got {list(got)}")
     for (n, parity), expected in _GOLDEN_LISTINGS.items():
         got = set(compositions.list_arndt_carlitz(n, parity, cap))
         report(f"golden listing n={n} parity={parity}", got == expected, f"got {sorted(got)}")
@@ -189,14 +179,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for n in range(1, args.max_n + 1):
         brute = compositions.count_brute_force(n, cap)
         for name, bundle in (("gf", closed), ("slice", sliced)):
-            got = (
-                int(bundle.even.coefficient(n)),
-                int(bundle.odd.coefficient(n)),
-                int(bundle.even.coefficient(n)) + int(bundle.odd.coefficient(n)),
-            )
-            if got != tuple(brute):
+            got = _bundle_counts(bundle, n)
+            if got != brute:
                 all_match = False
-                mismatch_detail = f"n={n} {name}={got} brute={tuple(brute)}"
+                mismatch_detail = f"n={n} {name}={tuple(got)} brute={tuple(brute)}"
     report(f"counts n=1..{args.max_n} (brute vs gf vs slice)", all_match, mismatch_detail)
 
     if args.order >= 24:
@@ -207,7 +193,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         with mp.workdps(35):
             growth = 1 / asymptotics.find_rho(20)
             errs = [
-                abs(mpf(int(total.coefficient(n + 1))) / int(total.coefficient(n)) - growth)
+                abs(mpf(total.coefficient(n + 1)) / total.coefficient(n) - growth)
                 for n in samples
             ]
         report(

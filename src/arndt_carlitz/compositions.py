@@ -44,14 +44,6 @@ def is_arndt_carlitz(parts: Composition) -> bool:
     return is_arndt(parts) and is_carlitz(parts)
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise CapExceededError(
-            f"n={n} exceeds brute-force cap {cap}; enumerating 2^(n-1) "
-            f"compositions is not desk-scale (raise the cap explicitly if you mean it)"
-        )
-
-
 def _compositions(n: int) -> Iterator[Composition]:
     if n == 0:
         yield ()
@@ -69,13 +61,12 @@ def enumerate_compositions(n: int, cap: int = DEFAULT_CAP) -> Iterator[Compositi
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    _check_cap(n, cap)
+    if n > cap:
+        raise CapExceededError(
+            f"n={n} exceeds brute-force cap {cap}; enumerating 2^(n-1) "
+            f"compositions is not desk-scale (raise the cap explicitly if you mean it)"
+        )
     return _compositions(n)
-
-
-def _validate_parity(parity: str) -> None:
-    if parity not in PARITIES:
-        raise ValueError(f"parity must be one of {PARITIES}, got {parity!r}")
 
 
 def _parity_match(length: int, parity: str) -> bool:
@@ -90,13 +81,11 @@ def list_arndt_carlitz(n: int, parity: str = "all", cap: int = DEFAULT_CAP) -> l
     The empty composition (n=0) belongs to neither parity class: the
     counted objects always have at least one part.
     """
-    _validate_parity(parity)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    _check_cap(n, cap)
+    if parity not in PARITIES:
+        raise ValueError(f"parity must be one of {PARITIES}, got {parity!r}")
     return [
         c
-        for c in _compositions(n)
+        for c in enumerate_compositions(n, cap)
         if c and is_arndt_carlitz(c) and _parity_match(len(c), parity)
     ]
 
@@ -107,12 +96,9 @@ def count_brute_force(n: int, cap: int = DEFAULT_CAP) -> ParityCounts:
     Deliberately dumb: enumerate everything, filter, tally.  This is the
     oracle; keep it independent of the series machinery.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    _check_cap(n, cap)
     even = odd = 0
-    for c in _compositions(n):
-        if c and is_arndt(c) and is_carlitz(c):
+    for c in enumerate_compositions(n, cap):
+        if c and is_arndt_carlitz(c):
             if len(c) % 2 == 0:
                 even += 1
             else:

@@ -130,7 +130,6 @@ def beta_series(variant: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 @lru_cache(maxsize=64)
 def numerator_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Num = alpha(z,1) + alpha(z,z)*beta(z,1) - alpha(z,1)*beta(z,z)."""
-    _validate_order(order)
     a1 = alpha_series("one", order)
     az = alpha_series("z", order)
     b1 = beta_series("one", order)
@@ -144,7 +143,6 @@ def denominator_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
     The three alpha terms of D are -Num, so D = 1 - beta(z,z) - Num.
     """
-    _validate_order(order)
     bz = beta_series("z", order)
     return TruncatedSeries.one(order) - bz - numerator_series(order)
 
@@ -169,34 +167,8 @@ def even_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
 @lru_cache(maxsize=64)
 def fzz_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """F(z,z) = alpha(z,z)/D: even-part compositions weighted by z^(last part)."""
-    _validate_order(order)
     s = alpha_series("z", order) / denominator_series(order)
     return _require_counting_series(s, "fzz_series")
-
-
-def _attach_part(even: TruncatedSeries) -> TruncatedSeries:
-    """z/(1-z) * (1 + even), by one O(N) division by 1 - z."""
-    c = list(even.coeffs)
-    c[0] += 1
-    return TruncatedSeries([0] + _divide_one_minus(c, 1)[: even.order])
-
-
-@lru_cache(maxsize=64)
-def odd_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Number of Arndt-Carlitz compositions of n with oddly many parts.
-
-    z/(1-z) + F(z,1)*z/(1-z) - F(z,z): attach a part different from the
-    last to an even-part composition, plus the one-part compositions.
-    """
-    _validate_order(order)
-    s = _attach_part(even_series(order)) - fzz_series(order)
-    return _require_counting_series(s, "odd_series")
-
-
-@lru_cache(maxsize=64)
-def total_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """All Arndt-Carlitz compositions of n, no parity restriction."""
-    return even_series(order) + odd_series(order)
 
 
 class SeriesBundle(NamedTuple):
@@ -209,15 +181,35 @@ class SeriesBundle(NamedTuple):
     order: int
 
 
+def _bundle(even: TruncatedSeries, fzz: TruncatedSeries) -> SeriesBundle:
+    """Complete F(z,1) and F(z,z) to the bundle, whichever path made them.
+
+    odd = z/(1-z) * (1 + F(z,1)) - F(z,z): attach a part different from
+    the last to an even-part composition, plus the one-part compositions.
+    z/(1-z) * (1 + F(z,1)) takes one O(N) division by 1 - z.
+    """
+    c = list(even.coeffs)
+    c[0] += 1
+    attached = TruncatedSeries([0] + _divide_one_minus(c, 1)[: even.order])
+    odd = _require_counting_series(attached - fzz, "odd")
+    return SeriesBundle(even=even, fzz=fzz, odd=odd, total=even + odd, order=even.order)
+
+
 def series_bundle(order: int = DEFAULT_ORDER) -> SeriesBundle:
     """Closed-form bundle (production path)."""
-    return SeriesBundle(
-        even=even_series(order),
-        fzz=fzz_series(order),
-        odd=odd_series(order),
-        total=total_series(order),
-        order=order,
-    )
+    return _bundle(even_series(order), fzz_series(order))
+
+
+@lru_cache(maxsize=64)
+def odd_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    """Number of Arndt-Carlitz compositions of n with oddly many parts."""
+    return series_bundle(order).odd
+
+
+@lru_cache(maxsize=64)
+def total_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    """All Arndt-Carlitz compositions of n, no parity restriction."""
+    return series_bundle(order).total
 
 
 def _add_slice_kernel(rows: list, f: list) -> list:
@@ -272,5 +264,4 @@ def slice_bundle(order: int = DEFAULT_ORDER) -> SeriesBundle:
     f = slice_iteration_series(order)
     even = _require_counting_series(f.substitute_u("one"), "slice even")
     fzz = _require_counting_series(f.substitute_u("z"), "slice fzz")
-    odd = _require_counting_series(_attach_part(even) - fzz, "slice odd")
-    return SeriesBundle(even=even, fzz=fzz, odd=odd, total=even + odd, order=order)
+    return _bundle(even, fzz)

@@ -280,11 +280,6 @@ class BivariateTruncatedSeries:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def z_valuation(self) -> int | None:
-        if not self._coeffs:
-            return None
-        return min(p for (p, _q) in self._coeffs)
-
     # -- arithmetic --------------------------------------------------------
 
     def _require_same_order(self, other: "BivariateTruncatedSeries") -> None:
@@ -341,24 +336,20 @@ class BivariateTruncatedSeries:
     # -- substitution ------------------------------------------------------
 
     def substitute_u(self, mode: str) -> TruncatedSeries:
-        """Substitute for the marker u, giving a series in z.
+        """Substitute u = z^s for the marker, giving a series in z.
 
-        mode "one":  u -> 1.
-        mode "z":    u -> z (terms past the order drop).
+        mode "one":  u -> 1 (s = 0).
+        mode "z":    u -> z (s = 1; terms past the order drop).
         """
+        s = {"one": 0, "z": 1}.get(mode)
+        if s is None:
+            raise ValueError(f"mode must be 'one' or 'z', got {mode!r}")
         n = self._order
-        if mode == "one":
-            out = [0] * (n + 1)
-            for (p, _q), v in self._coeffs.items():
-                out[p] += v
-            return TruncatedSeries(out)
-        if mode == "z":
-            out = [0] * (n + 1)
-            for (p, q), v in self._coeffs.items():
-                if p + q <= n:
-                    out[p + q] += v
-            return TruncatedSeries(out)
-        raise ValueError(f"mode must be 'one' or 'z', got {mode!r}")
+        out = [0] * (n + 1)
+        for (p, q), v in self._coeffs.items():
+            if p + s * q <= n:
+                out[p + s * q] += v
+        return TruncatedSeries(out)
 
     # -- dunder plumbing -----------------------------------------------------
 

@@ -249,6 +249,24 @@ def test_find_rho_pass_budget(monkeypatch):
     assert len(passes) <= 12
 
 
+def test_find_rho_reevaluates_an_endpoint_near_the_root(monkeypatch):
+    # |D| at an endpoint 1e-12 from rho is within the first rung's error
+    # budget (1e-10 at 20 digits), so its sign is read again at full
+    # working precision (40 digits for find_rho(25)) before it is trusted
+    precisions = []
+    real = asymptotics._ksums
+
+    def counting(x, tol, dps):
+        precisions.append(dps)
+        return real(x, tol, dps)
+
+    monkeypatch.setattr(asymptotics, "_ksums", counting)
+    with mp.workdps(50):
+        rho = find_rho(25, bracket=(mpf(RHO) - mpf("1e-12"), "0.70"))
+        assert abs(rho - mpf(RHO)) < mpf("1e-30")
+    assert precisions[:3] == [20, 40, 20]
+
+
 def test_diagnostics_are_debug_records(caplog):
     with caplog.at_level(logging.DEBUG, logger=asymptotics.__name__):
         amplitudes(find_rho(20), 20)

@@ -1,6 +1,8 @@
-"""The package's public surface: every name in __all__ resolves, and
-importing the package leaves mpmath and logging unloaded."""
+"""The package's public surface: the root exports exactly the entry points,
+every name in __all__ resolves, the building blocks resolve in their own
+modules, and importing the package leaves mpmath and logging unloaded."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -17,6 +19,46 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from arndt_carlitz import *", namespace)
     assert set(arndt_carlitz.__all__) <= set(namespace)
+
+
+ROOT_NAMES = {
+    "AsymptoticEstimate", "BracketError", "CapExceededError", "DEFAULT_CAP",
+    "DegeneratePoleError", "DomainError", "NonInvertibleSeriesError",
+    "ParityCounts", "PrecisionError", "SeriesBundle", "SeriesConsistencyError",
+    "TruncatedSeries", "amplitudes", "asymptotic_count", "count_brute_force",
+    "find_rho", "list_arndt_carlitz", "series_bundle", "slice_bundle",
+}
+
+# building blocks that are imported from their own modules, not the root
+MODULE_NAMES = {
+    "asymptotics": (
+        "denominator_derivative", "denominator_derivative_via_series",
+        "eval_alpha", "eval_beta", "eval_denominator", "eval_numerator",
+    ),
+    "compositions": (
+        "Composition", "enumerate_compositions", "is_arndt", "is_arndt_carlitz",
+        "is_carlitz",
+    ),
+    "gf": (
+        "alpha_series", "beta_series", "denominator_series", "even_series",
+        "fzz_series", "numerator_series", "odd_series", "slice_iteration_series",
+        "total_series",
+    ),
+    "series": ("BivariateTruncatedSeries",),
+}
+
+
+def test_root_exports_the_entry_points_only():
+    assert len(arndt_carlitz.__all__) == len(ROOT_NAMES)
+    assert set(arndt_carlitz.__all__) == ROOT_NAMES
+
+
+@pytest.mark.parametrize("module", sorted(MODULE_NAMES))
+def test_building_blocks_resolve_in_their_modules(module):
+    owner = importlib.import_module(f"arndt_carlitz.{module}")
+    for name in MODULE_NAMES[module]:
+        assert getattr(owner, name) is not None, name
+        assert name not in arndt_carlitz.__all__, name
 
 
 def test_numeric_names_are_the_asymptotics_objects():

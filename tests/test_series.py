@@ -215,12 +215,6 @@ def test_bivariate_order_mismatch():
         BivariateTruncatedSeries.zero(3) + BivariateTruncatedSeries.zero(4)
 
 
-def test_bivariate_z_valuation():
-    assert BivariateTruncatedSeries.zero(5).z_valuation() is None
-    s = BivariateTruncatedSeries({(4, 1): 1, (2, 2): 1}, 5)
-    assert s.z_valuation() == 2
-
-
 @given(bivariate_st(), bivariate_st())
 def test_substitute_one_is_multiplicative(a, b):
     lhs = (a * b).substitute_u("one")
