@@ -84,12 +84,13 @@ def _counts_for(n: int, method: str, cap: int) -> compositions.ParityCounts:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    counts = _counts_for(args.n, args.method, _brute_cap())
-    fields = {"even": counts.even, "odd": counts.odd, "total": counts.total}
-    if args.parity == "all":
-        shown = fields
+    cap = _brute_cap()
+    if args.method == "gf" and args.parity == "even":
+        # F(z,1) alone: the bundle would also divide out F(z,z) for odd and total
+        shown = {"even": gf.even_series(args.n).coefficient(args.n)}
     else:
-        shown = {args.parity: fields[args.parity]}
+        fields = _counts_for(args.n, args.method, cap)._asdict()
+        shown = fields if args.parity == "all" else {args.parity: fields[args.parity]}
     parts = [f"n={args.n}"] + [f"{k}={v}" for k, v in shown.items()]
     print(" ".join(parts))
     return EXIT_OK

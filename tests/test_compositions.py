@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from arndt_carlitz.compositions import (
     CapExceededError,
+    _valid_prefixes,
     count_brute_force,
     enumerate_compositions,
     is_arndt,
@@ -165,3 +166,25 @@ def test_count_sandwiched_by_carlitz_and_unrestricted():
             1 for c in enumerate_compositions(n) if c and is_carlitz(c)
         )
         assert count_brute_force(n).total <= carlitz <= 2 ** (n - 1)
+
+
+@pytest.mark.parametrize("n", range(19))
+def test_prefix_walk_lists_what_the_full_filter_lists(n):
+    # the old oracle: every composition of n, filtered by the definition
+    every = [c for c in enumerate_compositions(n) if c and is_arndt_carlitz(c)]
+    expected = {
+        "all": every,
+        "even": [c for c in every if len(c) % 2 == 0],
+        "odd": [c for c in every if len(c) % 2 == 1],
+    }
+    for parity, listing in expected.items():
+        assert list_arndt_carlitz(n, parity) == listing, parity
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=22))
+def test_prefix_walk_yields_only_arndt_carlitz_compositions(n):
+    # the raw walk, before the definitional filter: its pruning is exact
+    for c in _valid_prefixes((), n):
+        assert sum(c) == n
+        assert is_arndt_carlitz(c)

@@ -209,6 +209,19 @@ def test_counting_series_match_brute_force():
         assert int(bundle.total.coefficient(n)) == counts.total, f"total at {n}"
 
 
+def test_three_paths_agree_to_26():
+    # the prefix walk makes brute force cheap enough to go past criterion 4's n = 20
+    order = 26
+    closed = series_bundle(order)
+    sliced = slice_bundle(order)
+    for n in range(1, order + 1):
+        brute = tuple(count_brute_force(n))
+        for bundle in (closed, sliced):
+            got = (bundle.even.coefficient(n), bundle.odd.coefficient(n),
+                   bundle.total.coefficient(n))
+            assert got == brute, f"n={n}"
+
+
 def test_fzz_series_against_oracle():
     order = 16
     assert ints(fzz_series(order)) == fzz_oracle(order)
