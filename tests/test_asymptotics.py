@@ -3,9 +3,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from arndt_carlitz import asymptotics
+from arndt_carlitz import asymptotics, cli
 from arndt_carlitz.asymptotics import (
     BracketError,
     DomainError,
@@ -19,6 +20,7 @@ from arndt_carlitz.asymptotics import (
     eval_denominator,
     eval_numerator,
     find_rho,
+    _nstr,
 )
 from arndt_carlitz.gf import (
     alpha_series,
@@ -237,16 +239,16 @@ def test_find_rho_stays_in_bracket(bracket, caplog):
 def test_find_rho_pass_budget(monkeypatch):
     # deterministic work guard: each fused k-sum pass is one evaluation of D
     passes = []
-    real = asymptotics._ksums
+    real = asymptotics._ksums_fixed
 
     def counting(*args, **kwargs):
         passes.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(asymptotics, "_ksums", counting)
+    monkeypatch.setattr(asymptotics, "_ksums_fixed", counting)
     with mp.workdps(110):
         assert abs(find_rho(85) - mpf(RHO_120)) < mpf("1e-100")
-    assert len(passes) <= 12
+    assert 0 < len(passes) <= 12
 
 
 def test_find_rho_reevaluates_an_endpoint_near_the_root(monkeypatch):
@@ -254,13 +256,13 @@ def test_find_rho_reevaluates_an_endpoint_near_the_root(monkeypatch):
     # budget (1e-10 at 20 digits), so its sign is read again at full
     # working precision (40 digits for find_rho(25)) before it is trusted
     precisions = []
-    real = asymptotics._ksums
+    real = asymptotics._ksums_fixed
 
-    def counting(x, tol, dps):
+    def counting(n, w, dps, tol=None):
         precisions.append(dps)
-        return real(x, tol, dps)
+        return real(n, w, dps, tol)
 
-    monkeypatch.setattr(asymptotics, "_ksums", counting)
+    monkeypatch.setattr(asymptotics, "_ksums_fixed", counting)
     with mp.workdps(50):
         rho = find_rho(25, bracket=(mpf(RHO) - mpf("1e-12"), "0.70"))
         assert abs(rho - mpf(RHO)) < mpf("1e-30")
@@ -432,3 +434,51 @@ def test_exact_coefficients_pin_the_pole_constants():
             (bundle.total, est.c_total),
         ):
             assert close(exact(series, 599) / scale, constant)
+
+
+def nstr_oracle(n, wp, digits):
+    # mpmath's own nstr of the exact value n/2^wp
+    with mp.workprec(max(n.bit_length(), 1)):
+        return mp.nstr(mpf((n, -wp)), digits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=-(2 ** 400), max_value=2 ** 400),
+    st.integers(min_value=-300, max_value=700),
+    st.integers(min_value=1, max_value=60),
+)
+def test_nstr_matches_mpmath(n, wp, digits):
+    assert _nstr(n, wp, digits) == nstr_oracle(n, wp, digits)
+
+
+def test_nstr_explicit_cases():
+    assert _nstr(0, 10, 5) == "0.0" == nstr_oracle(0, 10, 5)
+    # within 3 units 2^-wp of a decimal tie (0.12345, 9.9995, 9.9995e-8):
+    # near 36 bits the cut to bitprec bits decides which way 4 digits round
+    for wp in (30, 34, 36, 40, 60, 200):
+        for tie_num, tie_den in ((12345, 10**5), (99995, 10**4), (99995, 10**12)):
+            centre = (tie_num << wp) // tie_den
+            for n in range(centre - 3, centre + 4):
+                assert _nstr(n, wp, 4) == nstr_oracle(n, wp, 4), (wp, tie_num, n)
+    # scientific notation on both sides, and the fixed-point window's edges
+    wp = 200
+    for value, digits in (("1e-40", 10), ("3.5e-6", 5), ("0.00001234", 3), ("123456", 3),
+                          ("123456", 6), ("9.87e30", 20), ("1", 1), ("0.6279", 1)):
+        with mp.workprec(400):
+            n = int(mp.floor(mpf(value) * 2 ** wp))
+        assert _nstr(n, wp, digits) == nstr_oracle(n, wp, digits), value
+    with pytest.raises(ValueError):
+        _nstr(1, -3600, 5)
+
+
+@pytest.mark.parametrize("digits", [1, 5, 10, 15, 19, 20, 21, 37, 57, 80, 100])
+def test_printed_digits_match_the_anchors(capsys, digits):
+    assert cli.main(["asymptotics", "--digits", str(digits)]) == 0
+    lines = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    with mp.workdps(130):
+        assert lines["rho"] == mp.nstr(mpf(RHO_120), digits)
+        if digits <= 35:
+            for name, anchor in (("growth", GROWTH), ("c_even", C_EVEN),
+                                 ("c_odd", C_ODD), ("c_total", C_TOTAL)):
+                assert lines[name] == mp.nstr(mpf(anchor), digits), name

@@ -4,7 +4,6 @@ import subprocess
 import sys
 
 import pytest
-from mpmath import mpf
 
 from arndt_carlitz import asymptotics, cli, gf
 from arndt_carlitz.asymptotics import (
@@ -226,13 +225,15 @@ def test_asymptotics_precision_failure_exit(capsys, monkeypatch):
         def broken(*args, error=error, **kwargs):
             raise error("numeric failure")
 
-        monkeypatch.setattr(asymptotics, "find_rho", broken)
+        # the int core that the command calls
+        monkeypatch.setattr(asymptotics, "_find_rho", broken)
         code, out, err = run(capsys, "asymptotics")
         assert (code, out, err) == (EXIT_PRECISION, "", "error: numeric failure\n"), error
 
 
 def test_asymptotics_non_root_exit(capsys, monkeypatch):
-    monkeypatch.setattr(asymptotics, "find_rho", lambda *args, **kwargs: mpf("0.5"))
+    # the int core that the command calls, returning rho = 1/2^1
+    monkeypatch.setattr(asymptotics, "_find_rho", lambda *args, **kwargs: (1, 1))
     code, out, err = run(capsys, "asymptotics")
     assert code == EXIT_PRECISION
     assert out == ""
@@ -354,9 +355,9 @@ def test_verify_small_order_skips_ratio_check(capsys):
 
 # ------------------------------------------------------- lazy numeric layer
 
-# mpmath is imported inside the asymptotics functions, not when the package
-# loads; logging is never imported by the package (DEBUG records need it
-# loaded by the caller)
+# mpmath is imported only inside the public mpf functions of asymptotics,
+# which no command calls; logging is never imported by the package (DEBUG
+# records need it loaded by the caller)
 NUMERIC_MODULES = ("mpmath", "logging")
 
 # runs each argv through cli.main in one fresh interpreter and prints, per
@@ -394,8 +395,9 @@ def test_exact_commands_never_load_the_numeric_layer():
 @pytest.mark.parametrize(
     "argv", [["asymptotics", "--digits", "20"], ["verify", "--order", "24"]]
 )
-def test_numeric_commands_load_the_numeric_layer(argv):
-    assert probe_modules(argv) == [[EXIT_OK, ["mpmath"]]]
+def test_numeric_commands_never_load_mpmath(argv):
+    # both run on the int core of asymptotics and print with its _nstr
+    assert probe_modules(argv) == [[EXIT_OK, []]]
 
 
 def test_unrelated_exception_is_not_mapped_to_exit_five(monkeypatch):
