@@ -1,0 +1,472 @@
+"""Integer core of the dominant-pole computation in `asymptotics`.
+
+Everything here runs on Python ints in fixed point, an int n standing for
+n/2^w: `ksums` is the fused pass over the k-sums, `find_rho` the
+safeguarded Newton iteration for the zero of D, `amplitudes` the residue
+constants, and `nstr` prints a value digit for digit as mpmath's nstr
+does.  The public mpf functions of `asymptotics` convert around this
+core, and the `asymptotics` command calls it directly, so that command
+loads no mpmath.  The module is imported on first use: commands that
+never reach the numeric layer do not load it.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import NamedTuple
+
+from .asymptotics import (
+    DEFAULT_BRACKET,
+    GUARD_DIGITS,
+    BracketError,
+    DegeneratePoleError,
+    DomainError,
+    PrecisionError,
+    _debug,
+)
+
+_MAX_TERMS = 100_000
+
+# find_rho's precision ladder starts between _MIN_RUNG and 2*_MIN_RUNG digits
+_MIN_RUNG = 15
+
+_MAX_STEPS_PER_RUNG = 100
+
+
+class KSums(NamedTuple):
+    """The k-sums at one point x, indexed by the shift s (0: u = 1, 1: u = x).
+
+    `ksums` gives each value as an int n standing for n/2^wp;
+    `asymptotics._ksums` gives the same record with each value as an mpf.
+    """
+
+    x: int
+    alpha: tuple[int, int]
+    beta: tuple[int, int]
+    dalpha: tuple[int, int]
+    dbeta: tuple[int, int]
+    numerator: int
+    denominator: int
+    derivative: int
+    terms: int
+    wp: int
+
+
+def _dps_to_prec(dps: int) -> int:
+    """Bits for dps decimal digits, by mpmath's dps_to_prec formula."""
+    return max(1, round((dps + 1) * 3.3219280948873626))
+
+
+def _div(a: int, b: int) -> int:
+    """a/b rounded to the nearest int, halves up (b != 0)."""
+    return (2 * a + b) // (2 * b)
+
+
+def _mag(v: Fraction) -> int:
+    """The least m with v < 2^m, for v > 0 (mpmath's mag of the exact value)."""
+    m = v.numerator.bit_length() - v.denominator.bit_length()
+    return m + 1 if v >= Fraction(2) ** m else m
+
+
+def _exceeds(f: int, wp: int, dps: int) -> bool:
+    """|f/2^wp| > 10^(-dps/2), exactly: a D this large keeps its sign at dps digits."""
+    return f * f * 10 ** dps > 1 << 2 * wp
+
+
+def nstr(n: int, wp: int, digits: int) -> str:
+    """mpmath 1.3's nstr(mpf((n, -wp)), digits) with default options, digits >= 1.
+
+    A port of its to_str and to_digits_exp: the value is cut (floored) to
+    bitprec bits, which decides near-ties, turned into about digits + 3
+    decimal digits rounded down, and those are rounded half up to
+    `digits`.  Values of 2^3500 or more, or below 2^-3501, raise
+    ValueError (mpmath scales those by a power of ten first).
+    """
+    if n < 0:
+        return "-" + nstr(-n, wp, digits)
+    if not n:
+        return "0.0"
+    exp_from_1 = n.bit_length() - wp
+    if abs(exp_from_1) > 3500:
+        raise ValueError(f"value 2^{exp_from_1} is out of range for nstr")
+    bitprec = int((digits + 3) * math.log(10, 2)) + 10
+    fixprec = max(bitprec - exp_from_1, 0)
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    shift = fixprec - wp
+    fixed = n << shift if shift >= 0 else n >> -shift
+    text = str(fixed * 10 ** fixdps >> fixprec)
+    exponent = len(text) - fixdps - 1
+    if len(text) > digits and text[digits] in "56789":
+        text = str(int(text[:digits]) + 1)
+        if len(text) > digits:  # 99...9 rounded up to 100...0
+            text = text[:digits]
+            exponent += 1
+    else:
+        text = text[:digits]
+    split = 1
+    if min(-(digits // 3), -5) < exponent < digits:
+        if exponent < 0:
+            text = "0" * -exponent + text
+        else:
+            split = exponent + 1
+        exponent = 0
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    if text[-1] == ".":
+        text += "0"
+    if exponent == 0:
+        return text
+    return f"{text}e{'+' if exponent > 0 else ''}{exponent}"
+
+
+def _qstr(q: Fraction, digits: int) -> str:
+    """str of the mpf nearest to q at `digits` digits, as mpmath prints it."""
+    if not q:
+        return "0.0"
+    wp = _dps_to_prec(digits) - _mag(abs(q))
+    return nstr(round(q * Fraction(2) ** wp), wp, digits)
+
+
+def _stuck(value_threshold: Fraction, dps: int) -> PrecisionError:
+    """The error of a pass whose terms cannot fall below value_threshold."""
+    return PrecisionError(
+        f"tail of the k-sums did not reach {_qstr(value_threshold, dps)} "
+        f"within {_MAX_TERMS} terms"
+    )
+
+
+def _never_small(n: int, w: int, value_threshold: Fraction) -> bool:
+    """True if B_0(k) = x^(2k-1)/P_0(k) stays above e*value_threshold for all k <= _MAX_TERMS.
+
+    B_0 is log-concave (see `ksums`), so the two ends of the range decide.
+    Both are bounded below in floats: ln B_0(1) = ln(x/(1-x)), and
+    ln B_0(_MAX_TERMS) = (2*_MAX_TERMS-1)*ln(x) - sum_j ln(1-x^(2j-1)),
+    whose sum is cut as soon as it settles the question (its terms are
+    positive and fall with j).  The logs of x = n/2^w and of x/(1-x) are
+    taken of the ints themselves (math.log reads an int of any size), so
+    no x in (0, 1) overflows or underflows; the factor e absorbs the float
+    rounding.
+    """
+    # value_threshold < 2^mag, so this target errs on the side of the loop
+    target = _mag(value_threshold) * math.log(2) + 1
+    ln_x = math.log(n) - w * math.log(2)
+    ln_first = math.log(n) - math.log((1 << w) - n)
+    low = (2 * _MAX_TERMS - 1) * ln_x
+    # the sum is at most (pi^2/6) * x/(1-x) (see `ksums`); beyond e^700
+    # that bound cannot fall below the target anyway
+    if ln_first < target or low + math.pi ** 2 / 6 * math.exp(min(ln_first, 700)) < target:
+        return False
+    for j in range(1, _MAX_TERMS + 1):
+        if low >= target:
+            return True
+        # a float 1-x^m below 1e-300 stands for a true one below ~1e-300
+        # (ln x may have underflowed), so -ln(1e-300) stays a lower bound
+        term = -math.log(max(-math.expm1((2 * j - 1) * ln_x), 1e-300))
+        low += term
+        if low + (_MAX_TERMS - j) * term < target:
+            return False
+    return low >= target
+
+
+def ksums(n: int, w: int, dps: int, tol: Fraction | None = None) -> KSums:
+    """alpha(x,x^s), beta(x,x^s), s = 0, 1, and their x-derivatives at x = n/2^w.
+
+    One pass; every value of the result is an int over 2^wp (see `KSums`).
+
+    With P_s(j) = prod_{l<=j} (1 - x^(2l-1+s)) the k-th terms are
+
+        A_s(k) = x^(2k+s)/(1-x^(2k+s)) / P_s(k-1),   alpha = x/(1-x) * sum_k A_s(k),
+        B_s(k) = x^(2k-1+s) / P_s(k),                beta  = -sum_k B_s(k).
+
+    All four streams use only x^(2k-1), x^(2k), x^(2k+1) and the two
+    reciprocals 1/(1-x^(2k)), 1/(1-x^(2k+1)) at step k, kept incrementally
+    (1/(1-x^(2k+1)) is the next step's 1/(1-x^(2k-1))).  The derivative
+    rides along as a log-derivative: with t(m) = x^m/(1-x^m) and
+    H_s(j) = sum_{l<=j} m_l*t(m_l), m_l = 2l-1+s, one has
+    d log(1/P_s(j))/dx = H_s(j)/x, hence
+
+        x*A_s(k)' = A_s(k) * ((2k+s)*(1 + t(2k+s)) + H_s(k-1)),
+        x*B_s(k)' = B_s(k) * ((2k-1+s) + H_s(k)).
+
+    Stop rule: the value terms eventually decay at least like x^(2k), so the
+    tail after a value term below tol*(1-x^2) is below tol.  A derivative
+    term is its value term times a weight that grows linearly in k (H_s
+    converges), so it decays like k*x^(2k); with q = x^2 the tail after
+    the k-th such term is at most that term times q/(1-q) + q/(k*(1-q)^2),
+    which is below 1/(1-q)^2 for every k >= 1.  So a derivative term below
+    tol*(1-x^2)^2 leaves a tail below tol.  The pass stops after two
+    consecutive steps in which all four value terms and all four
+    derivative terms beat their thresholds; the second is the defensive
+    extra evaluation.
+
+    Fixed point: the pass runs on Python ints, an int n standing for
+    n/2^wp; a product is a*b >> wp and a reciprocal is one*2^wp // (one - p).
+    Every term is nonnegative, so the stop rule compares the ints
+    themselves with the thresholds.  Let
+    L = 1/(1-x) and K = _MAX_TERMS >= k.  The products 1/P_s never exceed
+    prod_m 1/(1-x^m), whose log2 is at most
+
+        G = (pi^2/6) * x / ((1-x) * ln 2),
+
+    because 1-x^j >= j*x^(j-1)*(1-x) bounds -ln(1-x^j) = sum_r x^(jr)/r by
+    sum_r x/(r^2*(1-x)) for every j.  Each operation, and the conversion of
+    x, rounds by at most one unit u = 2^-wp.  To first order the powers
+    then carry at most 6uL; the reciprocals 7uL^3 (relative 7uL^2, so the
+    k factors of 1/P_s 8kuL^2); the t(m) 14uL^3; the value terms
+    23KuL^3*2^G; the weights, at most 7KL, 70K^2*uL^3 (H_s adds up to k
+    values of t, each times m_l <= 2l); and each derivative term
+    232K^2*uL^4*2^G.  Each of the eight sums adds at most K terms, so with
+
+        wp = bits + G + 3*bitlen(K) + 4*log2(L) + 18,
+
+    2^-bits <= the derivative threshold and bits >= the precision of dps
+    plus 2*log2(1/x) (alpha ~ x^2 keeps its relative precision as x -> 0),
+    every term and every sum lies within 2^-10 of that threshold of its
+    exact value: rounding moves neither the stop nor the digits.  alpha,
+    beta, Num, D and D' are assembled from the eight sums in the same ints,
+    each product and division rounded to nearest.  That adds a few units u,
+    times at most L^2/x, which the 4*log2(L) and 2*log2(1/x) in wp cover.
+
+    Fail fast: B_0(k) = x^(2k-1)/P_0(k) has the step ratio
+    x^2/(1-x^(2k+1)), which falls with k, so B_0 is log-concave and its
+    minimum over 1 <= k <= _MAX_TERMS is B_0(1) or B_0(_MAX_TERMS).  If
+    a float lower bound puts both a factor e above the value threshold,
+    the pass can never stop, and it raises PrecisionError before it sizes
+    wp (which grows like 1/(1-x)) or allocates anything at that width.
+    """
+    x = Fraction(n, 1 << w)
+    tol = Fraction(1, 10 ** (dps + 5)) if tol is None else tol
+    value_threshold = tol * (1 - x * x)
+    if _never_small(n, w, value_threshold):
+        raise _stuck(value_threshold, dps)
+    slope_threshold = value_threshold * (1 - x * x) * x  # compared with x*term'
+    inv_gap = (1 << w) / ((1 << w) - n)
+    # G of the docstring, one bit up for the float rounding
+    guard = math.ceil(math.pi ** 2 / 6 * (inv_gap - 1) / math.log(2)) + 1
+    wp = (
+        max(_dps_to_prec(dps) - 2 * (n.bit_length() - w), 3 - _mag(slope_threshold))
+        + guard + 3 * _MAX_TERMS.bit_length() + 4 * math.ceil(math.log2(inv_gap)) + 18
+    )
+    one = 1 << wp
+    one_squared = one << wp
+    xf = n << (wp - w) if wp >= w else n >> (w - wp)
+    xf2 = xf * xf >> wp
+    value_cut = (value_threshold.numerator << wp) // value_threshold.denominator
+    slope_cut = (slope_threshold.numerator << wp) // slope_threshold.denominator
+    power = xf                   # x^(2k-1)
+    inv_odd = one_squared // (one - xf)  # 1/(1-x^(2k-1))
+    t_odd = power * inv_odd >> wp  # t(2k-1)
+    prod0 = prod1 = one          # 1/P_s(k-1)
+    logd0 = logd1 = 0            # H_s(k-1)
+    sum_a0 = sum_a1 = sum_b0 = sum_b1 = 0
+    slope_a0 = slope_a1 = slope_b0 = slope_b1 = 0
+    small_run = 0
+    k = 0
+    while small_run < 2:
+        k += 1
+        if k > _MAX_TERMS:
+            raise _stuck(value_threshold, dps)
+        p_even = power * xf >> wp
+        p_next = power * xf2 >> wp
+        inv_even = one_squared // (one - p_even)
+        inv_next = one_squared // (one - p_next)
+        t_even = p_even * inv_even >> wp
+        t_next = p_next * inv_next >> wp
+        # alpha: A_0 uses t(2k), A_1 uses t(2k+1); both over P_s(k-1)
+        a_0 = t_even * prod0 >> wp
+        a_1 = t_next * prod1 >> wp
+        da_0 = a_0 * (2 * k * (one + t_even) + logd0) >> wp
+        da_1 = a_1 * ((2 * k + 1) * (one + t_next) + logd1) >> wp
+        # P_s(k) = P_s(k-1) * (1 - x^(2k-1+s))
+        prod0 = prod0 * inv_odd >> wp
+        prod1 = prod1 * inv_even >> wp
+        logd0 += (2 * k - 1) * t_odd
+        logd1 += 2 * k * t_even
+        b_0 = power * prod0 >> wp
+        b_1 = p_even * prod1 >> wp
+        db_0 = b_0 * ((2 * k - 1) * one + logd0) >> wp
+        db_1 = b_1 * (2 * k * one + logd1) >> wp
+        sum_a0 += a_0
+        sum_a1 += a_1
+        sum_b0 += b_0
+        sum_b1 += b_1
+        slope_a0 += da_0
+        slope_a1 += da_1
+        slope_b0 += db_0
+        slope_b1 += db_1
+        small = (
+            max(a_0, a_1, b_0, b_1) < value_cut
+            and max(da_0, da_1, db_0, db_1) < slope_cut
+        )
+        small_run = small_run + 1 if small else 0
+        power, inv_odd, t_odd = p_next, inv_next, t_next
+    # alpha = x/(1-x) * S, so alpha' = (S/(1-x) + x*S')/(1-x); beta' = -S'/x
+    one_minus = one - xf
+    alpha = (_div(xf * sum_a0, one_minus), _div(xf * sum_a1, one_minus))
+    dalpha = tuple(
+        _div((_div(total << wp, one_minus) + slope) << wp, one_minus)
+        for total, slope in ((sum_a0, slope_a0), (sum_a1, slope_a1))
+    )
+    dbeta = (-_div(slope_b0 << wp, xf), -_div(slope_b1 << wp, xf))
+    (a1, az), (db1, dbz), (da1, daz) = alpha, dbeta, dalpha
+    b1, bz = -sum_b0, -sum_b1
+    numerator = a1 + _div(az * b1 - a1 * bz, one)
+    dnumerator = da1 + _div(daz * b1 + az * db1 - da1 * bz - a1 * dbz, one)
+    # D = 1 - alpha(x,1) - beta(x,x) + beta(x,x)*alpha(x,1) - alpha(x,x)*beta(x,1)
+    #   = 1 - beta(x,x) - Num
+    return KSums(
+        x=xf,
+        alpha=alpha,
+        beta=(b1, bz),
+        dalpha=dalpha,
+        dbeta=dbeta,
+        numerator=numerator,
+        denominator=one - bz - numerator,
+        derivative=-dbz - dnumerator,
+        terms=k,
+        wp=wp,
+    )
+
+
+def _ladder(working: int) -> list[int]:
+    """Working precisions from about 20 digits up to `working`, each double the last."""
+    rungs = [working]
+    while rungs[-1] > 2 * _MIN_RUNG:
+        rungs.append((rungs[-1] + 1) // 2)
+    return rungs[::-1]
+
+
+def find_rho(digits: int, bracket=DEFAULT_BRACKET) -> tuple[int, int]:
+    """(n, w) with the zero n/2^w of D in (0, 1), w the bits of digits + 15.
+
+    Safeguarded Newton iteration on the analytic D' with precision
+    doubling: the sign change is verified on the bracket at the first rung
+    of the ladder (about 20 digits; at digits + 15 when |D| at an endpoint
+    is within that rung's error budget), Newton starts from the bracket's
+    midpoint, and each rung doubles the precision up to digits + 15
+    working digits.  Every value of D whose size exceeds the rung's error
+    budget shrinks a sign-change bracket around the iterates; a Newton
+    step that would leave the bracket is replaced by a bisection step, so
+    the root stays enclosed.  The iteration stops once a step at full
+    working precision is below 10^-(digits+8).  The bracket's ends may be
+    anything Fraction accepts; each must lie in (0, 1) and is rounded to
+    w bits, but never onto 0 or 1.
+    """
+    if digits < 10:
+        raise ValueError(f"digits must be >= 10, got {digits}")
+    working = digits + GUARD_DIGITS
+    ladder = _ladder(working)
+    w = _dps_to_prec(working)
+    passes = newton_steps = bisection_steps = 0
+
+    def evaluate(x: int, dps: int) -> KSums:
+        nonlocal passes
+        passes += 1
+        return ksums(x, w, dps)
+
+    def endpoint(x: int) -> KSums:
+        sums = evaluate(x, ladder[0])
+        if not _exceeds(sums.denominator, sums.wp, ladder[0]) and ladder[0] < working:
+            sums = evaluate(x, working)
+        return sums
+
+    ends = [Fraction(end) for end in bracket]
+    for end in ends:
+        if not 0 < end < 1:
+            raise DomainError(
+                f"evaluation point must lie in (0, 1), got {_qstr(end, ladder[0])}"
+            )
+    a, b = (min(max(_div(q.numerator << w, q.denominator), 1), (1 << w) - 1) for q in ends)
+    fa, fb = endpoint(a), endpoint(b)
+    if not fa.denominator:
+        return a, w
+    if not fb.denominator:
+        return b, w
+    positive = fa.denominator > 0
+    if positive == (fb.denominator > 0):
+        raise BracketError(
+            f"D({nstr(a, w, working)}) = {nstr(fa.denominator, fa.wp, working)} and "
+            f"D({nstr(b, w, working)}) = {nstr(fb.denominator, fb.wp, working)} "
+            "do not change sign; root bracket or evaluators are broken"
+        )
+    x = (a + b) >> 1
+    for dps in ladder:
+        for _ in range(_MAX_STEPS_PER_RUNG):
+            sums = evaluate(x, dps)
+            f, slope = sums.denominator, sums.derivative
+            if _exceeds(f, sums.wp, dps):
+                if (f > 0) == positive:
+                    a = x
+                else:
+                    b = x
+            # an exact zero gives a zero Newton step and ends the rung;
+            # D' = 0 yields the candidate a, which forces a bisection step
+            candidate = x - _div(f << w, slope) if slope else a
+            if a < candidate < b:
+                newton_steps += 1
+            else:
+                candidate = (a + b) >> 1
+                bisection_steps += 1
+            dx = abs(candidate - x)
+            x = candidate
+            # Newton squares the error: after a step below 10^(-dps/2) the
+            # rung's precision is used up; the last rung stops below
+            # 10^-(digits+8)
+            if dps < working:
+                if not _exceeds(dx, w, dps):
+                    break
+            elif dx * 10 ** (digits + 8) < 1 << w:
+                break
+        else:
+            if dps == working:
+                raise PrecisionError(
+                    f"Newton refinement did not converge to {digits} digits in "
+                    f"[{nstr(a, w, working)}, {nstr(b, w, working)}]"
+                )
+    _debug(
+        "find_rho digits=%d ladder=%s passes=%d newton=%d bisection=%d "
+        "k_terms=%d |dx|=%s",
+        digits, ladder, passes, newton_steps, bisection_steps, sums.terms,
+        nstr(dx, w, 3),
+    )
+    return x, w
+
+
+def amplitudes(n: int, w: int, digits: int) -> tuple[tuple[int, ...], int]:
+    """((rho, growth, c_even, c_odd, c_total), wp) at the root rho = n/2^w of D.
+
+    c_even = -Num(rho)/(rho*D'(rho)); the odd series z/(1-z)*(1+F(z,1)) -
+    F(z,z) picks up rho/(1-rho)*c_even - c_fzz, with c_fzz the residue
+    constant of F(z,z) = alpha(z,z)/D.  D, Num, alpha(rho,rho) and D' all
+    come from one pass over the k-sums, whose bits wp every value is
+    over.  A rho with |D(rho)| above 10^(-digits/2) raises DomainError.
+    """
+    working = digits + GUARD_DIGITS
+    sums = ksums(n, w, working)
+    wp, rho, slope = sums.wp, sums.x, sums.derivative
+    residual = abs(sums.denominator)
+    _debug(
+        "amplitudes digits=%d |D(rho)|=%s k_terms=%d",
+        digits, nstr(residual, wp, 3), sums.terms,
+    )
+    if _exceeds(residual, wp, digits):
+        raise DomainError(
+            f"rho={nstr(rho, wp, working)} is not a root of D "
+            f"(|D(rho)| = {nstr(residual, wp, working)})"
+        )
+    if abs(slope) * 10 ** 6 < 1 << wp:
+        raise DegeneratePoleError(
+            f"|D'(rho)| = {nstr(abs(slope), wp, working)} is numerically zero "
+            f"at rho={nstr(rho, wp, working)}"
+        )
+    scale = rho * slope  # rho*D' over 2^(2wp)
+    c_even = _div(-sums.numerator << 2 * wp, scale)
+    c_fzz = _div(-sums.alpha[1] << 2 * wp, scale)
+    c_odd = _div(rho * c_even, (1 << wp) - rho) - c_fzz
+    if not (c_even > 0 and c_odd > 0):
+        raise PrecisionError(
+            f"residue constants came out nonpositive: "
+            f"{nstr(c_even, wp, working)}, {nstr(c_odd, wp, working)}"
+        )
+    growth = _div(1 << 2 * wp, rho)
+    return (rho, growth, c_even, c_odd, c_even + c_odd), wp

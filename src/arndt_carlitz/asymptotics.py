@@ -16,21 +16,21 @@ requested decimal digits (never ambient global state), with the infinite
 k-sums cut only once their geometric tail is provably below tolerance.
 As in the gf module, u = z^s with s = 0 (variant "one") or s = 1
 (variant "z") selects alpha(x,1)/beta(x,1) or alpha(x,x)/beta(x,x).  One
-pass over k (`_ksums_fixed`) sums all four k-sums and their
+pass over k (`_pole.ksums`) sums all four k-sums and their
 x-derivatives together, so D, Num and the analytic D' come from a single
 evaluation.  The truncated exact series from the gf module double as an
 independent cross-check for every evaluator.
 
 mpf appears only at the public boundary: `find_rho`, `amplitudes`, the
 `eval_*` functions and `denominator_derivative` import mpmath and convert
-with mpf((n, -w)) around the int core (`_find_rho`, `_amplitudes`,
-`_ksums_fixed`).  The CLI calls the core and prints with `_nstr`, so no
-command loads mpmath; this module never imports logging (see `_debug`).
+with mpf((n, -w)) around the int core in the private module `_pole`,
+which loads on first use.  The `asymptotics` command calls that core and
+prints with its `nstr`, so it loads no mpmath; this module never imports
+logging (see `_debug`).
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
@@ -49,13 +49,6 @@ DEFAULT_BRACKET = ("0.55", "0.70")
 # growth rates of the two classical comparison classes
 UNRESTRICTED_GROWTH = "2"
 CARLITZ_GROWTH = "1.750243"
-
-_MAX_TERMS = 100_000
-
-# find_rho's precision ladder starts between _MIN_RUNG and 2*_MIN_RUNG digits
-_MIN_RUNG = 15
-
-_MAX_STEPS_PER_RUNG = 100
 
 
 class DomainError(ValueError):
@@ -85,25 +78,6 @@ class AsymptoticEstimate(NamedTuple):
     precision_digits: int
 
 
-class _KSums(NamedTuple):
-    """The k-sums at one point x, indexed by the shift s (0: u = 1, 1: u = x).
-
-    `_ksums_fixed` gives each value as an int n standing for n/2^wp;
-    `_ksums` gives the same record with each value as an mpf.
-    """
-
-    x: int
-    alpha: tuple[int, int]
-    beta: tuple[int, int]
-    dalpha: tuple[int, int]
-    dbeta: tuple[int, int]
-    numerator: int
-    denominator: int
-    derivative: int
-    terms: int
-    wp: int
-
-
 def _debug(msg: str, *args) -> None:
     """A DEBUG record of this module's logger, made only if logging is loaded.
 
@@ -113,72 +87,6 @@ def _debug(msg: str, *args) -> None:
     logging = sys.modules.get("logging")
     if logging is not None:
         logging.getLogger(__name__).debug(msg, *args)
-
-
-def _dps_to_prec(dps: int) -> int:
-    """Bits for dps decimal digits, by mpmath's dps_to_prec formula."""
-    return max(1, round((dps + 1) * 3.3219280948873626))
-
-
-def _div(a: int, b: int) -> int:
-    """a/b rounded to the nearest int, halves up (b != 0)."""
-    return (2 * a + b) // (2 * b)
-
-
-def _mag(v: Fraction) -> int:
-    """The least m with v < 2^m, for v > 0 (mpmath's mag of the exact value)."""
-    m = v.numerator.bit_length() - v.denominator.bit_length()
-    return m + 1 if v >= Fraction(2) ** m else m
-
-
-def _exceeds(f: int, wp: int, dps: int) -> bool:
-    """|f/2^wp| > 10^(-dps/2), exactly: a D this large keeps its sign at dps digits."""
-    return f * f * 10 ** dps > 1 << 2 * wp
-
-
-def _nstr(n: int, wp: int, digits: int) -> str:
-    """mpmath 1.3's nstr(mpf((n, -wp)), digits) with default options, digits >= 1.
-
-    A port of its to_str and to_digits_exp: the value is cut (floored) to
-    bitprec bits, which decides near-ties, turned into about digits + 3
-    decimal digits rounded down, and those are rounded half up to
-    `digits`.  Values of 2^3500 or more, or below 2^-3501, raise
-    ValueError (mpmath scales those by a power of ten first).
-    """
-    if n < 0:
-        return "-" + _nstr(-n, wp, digits)
-    if not n:
-        return "0.0"
-    exp_from_1 = n.bit_length() - wp
-    if abs(exp_from_1) > 3500:
-        raise ValueError(f"value 2^{exp_from_1} is out of range for _nstr")
-    bitprec = int((digits + 3) * math.log(10, 2)) + 10
-    fixprec = max(bitprec - exp_from_1, 0)
-    fixdps = int(fixprec / math.log(10, 2) + 0.5)
-    shift = fixprec - wp
-    fixed = n << shift if shift >= 0 else n >> -shift
-    text = str(fixed * 10 ** fixdps >> fixprec)
-    exponent = len(text) - fixdps - 1
-    if len(text) > digits and text[digits] in "56789":
-        text = str(int(text[:digits]) + 1)
-        if len(text) > digits:  # 99...9 rounded up to 100...0
-            text = text[:digits]
-            exponent += 1
-    else:
-        text = text[:digits]
-    split = 1
-    if min(-(digits // 3), -5) < exponent < digits:
-        if exponent < 0:
-            text = "0" * -exponent + text
-        else:
-            split = exponent + 1
-        exponent = 0
-    text = (text[:split] + "." + text[split:]).rstrip("0")
-    if text[-1] == ".":
-        text += "0"
-    if exponent == 0:
-        return text
-    return f"{text}e{'+' if exponent > 0 else ''}{exponent}"
 
 
 def _dyadic(v: mpf) -> tuple[int, int]:
@@ -197,206 +105,11 @@ def _check_domain(x) -> mpf:
     return xv
 
 
-def _never_small(n: int, w: int, value_threshold: Fraction) -> bool:
-    """True if B_0(k) = x^(2k-1)/P_0(k) stays above e*value_threshold for all k <= _MAX_TERMS.
-
-    B_0 is log-concave (see `_ksums_fixed`), so the two ends of the range
-    decide.  Both are bounded below in floats: ln B_0(1) = ln(x/(1-x)), and
-    ln B_0(_MAX_TERMS) = (2*_MAX_TERMS-1)*ln(x) - sum_j ln(1-x^(2j-1)),
-    whose sum is cut as soon as it settles the question (its terms are
-    positive and fall with j).  x = n/2^w and x/(1-x) enter as correctly
-    rounded floats (int true division); the factor e absorbs the float
-    rounding.
-    """
-    # value_threshold < 2^mag, so this target errs on the side of the loop
-    target = _mag(value_threshold) * math.log(2) + 1
-    one = 1 << w
-    # an x below 2^-1000 would underflow as a float: scale it up by 2^scale
-    scale = max(0, w - n.bit_length() - 1000)
-    ln_x = math.log(n / (one >> scale)) - scale * math.log(2)
-    first = n / (one - n)
-    low = (2 * _MAX_TERMS - 1) * ln_x
-    # the sum is at most (pi^2/6) * x/(1-x) (see `_ksums_fixed`)
-    if low + math.pi ** 2 / 6 * first < target or ln_x - math.log((one - n) / one) < target:
-        return False
-    for j in range(1, _MAX_TERMS + 1):
-        if low >= target:
-            return True
-        # a float 1-x^m below 1e-300 stands for a true one below ~1e-300
-        # (ln x may have underflowed), so -ln(1e-300) stays a lower bound
-        term = -math.log(max(-math.expm1((2 * j - 1) * ln_x), 1e-300))
-        low += term
-        if low + (_MAX_TERMS - j) * term < target:
-            return False
-    return low >= target
-
-
-def _ksums_fixed(n: int, w: int, dps: int, tol: Fraction | None = None) -> _KSums:
-    """alpha(x,x^s), beta(x,x^s), s = 0, 1, and their x-derivatives at x = n/2^w.
-
-    One pass; every value of the result is an int over 2^wp (see `_KSums`).
-
-    With P_s(j) = prod_{l<=j} (1 - x^(2l-1+s)) the k-th terms are
-
-        A_s(k) = x^(2k+s)/(1-x^(2k+s)) / P_s(k-1),   alpha = x/(1-x) * sum_k A_s(k),
-        B_s(k) = x^(2k-1+s) / P_s(k),                beta  = -sum_k B_s(k).
-
-    All four streams use only x^(2k-1), x^(2k), x^(2k+1) and the two
-    reciprocals 1/(1-x^(2k)), 1/(1-x^(2k+1)) at step k, kept incrementally
-    (1/(1-x^(2k+1)) is the next step's 1/(1-x^(2k-1))).  The derivative
-    rides along as a log-derivative: with t(m) = x^m/(1-x^m) and
-    H_s(j) = sum_{l<=j} m_l*t(m_l), m_l = 2l-1+s, one has
-    d log(1/P_s(j))/dx = H_s(j)/x, hence
-
-        x*A_s(k)' = A_s(k) * ((2k+s)*(1 + t(2k+s)) + H_s(k-1)),
-        x*B_s(k)' = B_s(k) * ((2k-1+s) + H_s(k)).
-
-    Stop rule: the value terms eventually decay at least like x^(2k), so the
-    tail after a value term below tol*(1-x^2) is below tol.  A derivative
-    term is its value term times a weight that grows linearly in k (H_s
-    converges), so it decays like k*x^(2k); with q = x^2 the tail after
-    the k-th such term is at most that term times q/(1-q) + q/(k*(1-q)^2),
-    which is below 1/(1-q)^2 for every k >= 1.  So a derivative term below
-    tol*(1-x^2)^2 leaves a tail below tol.  The pass stops after two
-    consecutive steps in which all four value terms and all four
-    derivative terms beat their thresholds; the second is the defensive
-    extra evaluation.
-
-    Fixed point: the pass runs on Python ints, an int n standing for
-    n/2^wp; a product is a*b >> wp and a reciprocal is one*2^wp // (one - p).
-    Every term is nonnegative, so the stop rule compares the ints
-    themselves with the thresholds.  Let
-    L = 1/(1-x) and K = _MAX_TERMS >= k.  The products 1/P_s never exceed
-    prod_m 1/(1-x^m), whose log2 is at most
-
-        G = (pi^2/6) * x / ((1-x) * ln 2),
-
-    because 1-x^j >= j*x^(j-1)*(1-x) bounds -ln(1-x^j) = sum_r x^(jr)/r by
-    sum_r x/(r^2*(1-x)) for every j.  Each operation, and the conversion of
-    x, rounds by at most one unit u = 2^-wp.  To first order the powers
-    then carry at most 6uL; the reciprocals 7uL^3 (relative 7uL^2, so the
-    k factors of 1/P_s 8kuL^2); the t(m) 14uL^3; the value terms
-    23KuL^3*2^G; the weights, at most 7KL, 70K^2*uL^3 (H_s adds up to k
-    values of t, each times m_l <= 2l); and each derivative term
-    232K^2*uL^4*2^G.  Each of the eight sums adds at most K terms, so with
-
-        wp = bits + G + 3*bitlen(K) + 4*log2(L) + 18,
-
-    2^-bits <= the derivative threshold and bits >= the precision of dps
-    plus 2*log2(1/x) (alpha ~ x^2 keeps its relative precision as x -> 0),
-    every term and every sum lies within 2^-10 of that threshold of its
-    exact value: rounding moves neither the stop nor the digits.  alpha,
-    beta, Num, D and D' are assembled from the eight sums in the same ints,
-    each product and division rounded to nearest.  That adds a few units u,
-    times at most L^2/x, which the 4*log2(L) and 2*log2(1/x) in wp cover.
-
-    Fail fast: B_0(k) = x^(2k-1)/P_0(k) has the step ratio
-    x^2/(1-x^(2k+1)), which falls with k, so B_0 is log-concave and its
-    minimum over 1 <= k <= _MAX_TERMS is B_0(1) or B_0(_MAX_TERMS).  If
-    a float lower bound puts both a factor e above the value threshold,
-    the pass can never stop, and it raises PrecisionError before the loop.
-    """
-    x = Fraction(n, 1 << w)
-    tol = Fraction(1, 10 ** (dps + 5)) if tol is None else tol
-    value_threshold = tol * (1 - x * x)
-    slope_threshold = value_threshold * (1 - x * x) * x  # compared with x*term'
-    inv_gap = (1 << w) / ((1 << w) - n)
-    # G of the docstring, one bit up for the float rounding
-    guard = math.ceil(math.pi ** 2 / 6 * (inv_gap - 1) / math.log(2)) + 1
-    wp = (
-        max(_dps_to_prec(dps) - 2 * (n.bit_length() - w), 3 - _mag(slope_threshold))
-        + guard + 3 * _MAX_TERMS.bit_length() + 4 * math.ceil(math.log2(inv_gap)) + 18
-    )
-    one = 1 << wp
-    one_squared = one << wp
-    xf = n << (wp - w) if wp >= w else n >> (w - wp)
-    xf2 = xf * xf >> wp
-    value_cut = (value_threshold.numerator << wp) // value_threshold.denominator
-    slope_cut = (slope_threshold.numerator << wp) // slope_threshold.denominator
-    stuck = (
-        f"tail of the k-sums did not reach {_nstr(value_cut, wp, dps)} "
-        f"within {_MAX_TERMS} terms"
-    )
-    if _never_small(n, w, value_threshold):
-        raise PrecisionError(stuck)
-    power = xf                   # x^(2k-1)
-    inv_odd = one_squared // (one - xf)  # 1/(1-x^(2k-1))
-    t_odd = power * inv_odd >> wp  # t(2k-1)
-    prod0 = prod1 = one          # 1/P_s(k-1)
-    logd0 = logd1 = 0            # H_s(k-1)
-    sum_a0 = sum_a1 = sum_b0 = sum_b1 = 0
-    slope_a0 = slope_a1 = slope_b0 = slope_b1 = 0
-    small_run = 0
-    k = 0
-    while small_run < 2:
-        k += 1
-        if k > _MAX_TERMS:
-            raise PrecisionError(stuck)
-        p_even = power * xf >> wp
-        p_next = power * xf2 >> wp
-        inv_even = one_squared // (one - p_even)
-        inv_next = one_squared // (one - p_next)
-        t_even = p_even * inv_even >> wp
-        t_next = p_next * inv_next >> wp
-        # alpha: A_0 uses t(2k), A_1 uses t(2k+1); both over P_s(k-1)
-        a_0 = t_even * prod0 >> wp
-        a_1 = t_next * prod1 >> wp
-        da_0 = a_0 * (2 * k * (one + t_even) + logd0) >> wp
-        da_1 = a_1 * ((2 * k + 1) * (one + t_next) + logd1) >> wp
-        # P_s(k) = P_s(k-1) * (1 - x^(2k-1+s))
-        prod0 = prod0 * inv_odd >> wp
-        prod1 = prod1 * inv_even >> wp
-        logd0 += (2 * k - 1) * t_odd
-        logd1 += 2 * k * t_even
-        b_0 = power * prod0 >> wp
-        b_1 = p_even * prod1 >> wp
-        db_0 = b_0 * ((2 * k - 1) * one + logd0) >> wp
-        db_1 = b_1 * (2 * k * one + logd1) >> wp
-        sum_a0 += a_0
-        sum_a1 += a_1
-        sum_b0 += b_0
-        sum_b1 += b_1
-        slope_a0 += da_0
-        slope_a1 += da_1
-        slope_b0 += db_0
-        slope_b1 += db_1
-        small = (
-            max(a_0, a_1, b_0, b_1) < value_cut
-            and max(da_0, da_1, db_0, db_1) < slope_cut
-        )
-        small_run = small_run + 1 if small else 0
-        power, inv_odd, t_odd = p_next, inv_next, t_next
-    # alpha = x/(1-x) * S, so alpha' = (S/(1-x) + x*S')/(1-x); beta' = -S'/x
-    one_minus = one - xf
-    alpha = (_div(xf * sum_a0, one_minus), _div(xf * sum_a1, one_minus))
-    dalpha = tuple(
-        _div((_div(total << wp, one_minus) + slope) << wp, one_minus)
-        for total, slope in ((sum_a0, slope_a0), (sum_a1, slope_a1))
-    )
-    dbeta = (-_div(slope_b0 << wp, xf), -_div(slope_b1 << wp, xf))
-    (a1, az), (db1, dbz), (da1, daz) = alpha, dbeta, dalpha
-    b1, bz = -sum_b0, -sum_b1
-    numerator = a1 + _div(az * b1 - a1 * bz, one)
-    dnumerator = da1 + _div(daz * b1 + az * db1 - da1 * bz - a1 * dbz, one)
-    # D = 1 - alpha(x,1) - beta(x,x) + beta(x,x)*alpha(x,1) - alpha(x,x)*beta(x,1)
-    #   = 1 - beta(x,x) - Num
-    return _KSums(
-        x=xf,
-        alpha=alpha,
-        beta=(b1, bz),
-        dalpha=dalpha,
-        dbeta=dbeta,
-        numerator=numerator,
-        denominator=one - bz - numerator,
-        derivative=-dbz - dnumerator,
-        terms=k,
-        wp=wp,
-    )
-
-
-def _ksums(x, tol=None, dps: int = DEFAULT_DPS) -> _KSums:
-    """`_ksums_fixed` at a real x rounded to dps digits, every value an mpf at dps."""
+def _ksums(x, tol=None, dps: int = DEFAULT_DPS):
+    """`_pole.ksums` at a real x rounded to dps digits, every value an mpf at dps."""
     from mpmath import mp, mpf
+
+    from . import _pole
 
     with mp.workdps(dps):
         n, w = _dyadic(_check_domain(x))
@@ -406,12 +119,12 @@ def _ksums(x, tol=None, dps: int = DEFAULT_DPS) -> _KSums:
                 raise ValueError(f"tol must be > 0, got {tol}")
             t, tw = _dyadic(tolv)
             tol = Fraction(t, 1 << tw)
-        sums = _ksums_fixed(n, w, dps, tol)
+        sums = _pole.ksums(n, w, dps, tol)
 
         def real(v):
             return tuple(map(real, v)) if isinstance(v, tuple) else mpf((v, -sums.wp))
 
-        return _KSums(*map(real, sums[:8]), sums.terms, sums.wp)
+        return sums._make((*map(real, sums[:8]), sums.terms, sums.wp))
 
 
 def eval_alpha(x, variant: str = "one", tol=None, dps: int = DEFAULT_DPS) -> mpf:
@@ -436,118 +149,18 @@ def eval_numerator(x, tol=None, dps: int = DEFAULT_DPS) -> mpf:
     return _ksums(x, tol, dps).numerator
 
 
-def _ladder(working: int) -> list[int]:
-    """Working precisions from about 20 digits up to `working`, each double the last."""
-    rungs = [working]
-    while rungs[-1] > 2 * _MIN_RUNG:
-        rungs.append((rungs[-1] + 1) // 2)
-    return rungs[::-1]
-
-
-def _find_rho(digits: int, bracket=DEFAULT_BRACKET) -> tuple[int, int]:
-    """`find_rho` on ints: (n, w) with the root n/2^w, w the bits of digits + 15.
-
-    Safeguarded Newton iteration on the analytic D' with precision
-    doubling: the sign change is verified on the bracket at the first rung
-    of the ladder (about 20 digits; at digits + 15 when |D| at an endpoint
-    is within that rung's error budget), Newton starts from the bracket's
-    midpoint, and each rung doubles the precision up to digits + 15
-    working digits.  Every value of D whose size exceeds the rung's error
-    budget shrinks a sign-change bracket around the iterates; a Newton
-    step that would leave the bracket is replaced by a bisection step, so
-    the root stays enclosed.  The iteration stops once a step at full
-    working precision is below 10^-(digits+8).  The bracket's ends may be
-    anything Fraction accepts; they are rounded to w bits.
-    """
-    if digits < 10:
-        raise ValueError(f"digits must be >= 10, got {digits}")
-    working = digits + GUARD_DIGITS
-    ladder = _ladder(working)
-    w = _dps_to_prec(working)
-    passes = newton_steps = bisection_steps = 0
-
-    def evaluate(x: int, dps: int) -> _KSums:
-        nonlocal passes
-        passes += 1
-        return _ksums_fixed(x, w, dps)
-
-    def endpoint(x: int) -> _KSums:
-        sums = evaluate(x, ladder[0])
-        if not _exceeds(sums.denominator, sums.wp, ladder[0]) and ladder[0] < working:
-            sums = evaluate(x, working)
-        return sums
-
-    a, b = (_div(q.numerator << w, q.denominator) for q in map(Fraction, bracket))
-    for end in (a, b):
-        if not 0 < end < 1 << w:
-            raise DomainError(
-                f"evaluation point must lie in (0, 1), got {_nstr(end, w, ladder[0])}"
-            )
-    fa, fb = endpoint(a), endpoint(b)
-    if not fa.denominator:
-        return a, w
-    if not fb.denominator:
-        return b, w
-    positive = fa.denominator > 0
-    if positive == (fb.denominator > 0):
-        raise BracketError(
-            f"D({_nstr(a, w, working)}) = {_nstr(fa.denominator, fa.wp, working)} and "
-            f"D({_nstr(b, w, working)}) = {_nstr(fb.denominator, fb.wp, working)} "
-            "do not change sign; root bracket or evaluators are broken"
-        )
-    x = (a + b) >> 1
-    for dps in ladder:
-        for _ in range(_MAX_STEPS_PER_RUNG):
-            sums = evaluate(x, dps)
-            f, slope = sums.denominator, sums.derivative
-            if _exceeds(f, sums.wp, dps):
-                if (f > 0) == positive:
-                    a = x
-                else:
-                    b = x
-            # an exact zero gives a zero Newton step and ends the rung;
-            # D' = 0 yields the candidate a, which forces a bisection step
-            candidate = x - _div(f << w, slope) if slope else a
-            if a < candidate < b:
-                newton_steps += 1
-            else:
-                candidate = (a + b) >> 1
-                bisection_steps += 1
-            dx = abs(candidate - x)
-            x = candidate
-            # Newton squares the error: after a step below 10^(-dps/2) the
-            # rung's precision is used up; the last rung stops below
-            # 10^-(digits+8)
-            if dps < working:
-                if not _exceeds(dx, w, dps):
-                    break
-            elif dx * 10 ** (digits + 8) < 1 << w:
-                break
-        else:
-            if dps == working:
-                raise PrecisionError(
-                    f"Newton refinement did not converge to {digits} digits in "
-                    f"[{_nstr(a, w, working)}, {_nstr(b, w, working)}]"
-                )
-    _debug(
-        "find_rho digits=%d ladder=%s passes=%d newton=%d bisection=%d "
-        "k_terms=%d |dx|=%s",
-        digits, ladder, passes, newton_steps, bisection_steps, sums.terms,
-        _nstr(dx, w, 3),
-    )
-    return x, w
-
-
 def find_rho(digits: int = 20, bracket=DEFAULT_BRACKET) -> mpf:
     """The zero of D in (0, 1), accurate to `digits` significant digits.
 
-    `_find_rho` with the bracket's ends read as mpf at digits + 15.
+    `_pole.find_rho`, with the bracket's ends read as mpf at digits + 15.
     """
     from mpmath import mp, mpf
 
+    from . import _pole
+
     with mp.workdps(digits + GUARD_DIGITS):
-        ends = [_dyadic(mpf(end)) for end in bracket]
-        n, w = _find_rho(digits, [Fraction(m, 1 << e) for m, e in ends])
+        ends = [Fraction(n, 1 << w) for n, w in (_dyadic(mpf(end)) for end in bracket)]
+        n, w = _pole.find_rho(digits, ends)
         return mpf((n, -w))
 
 
@@ -569,55 +182,17 @@ def denominator_derivative_via_series(x, order: int = 250, dps: int = DEFAULT_DP
         return mp.polyval(denominator_series(order).derivative().coeffs[::-1], xv)
 
 
-def _amplitudes(n: int, w: int, digits: int) -> tuple[tuple[int, ...], int]:
-    """`amplitudes` on ints at rho = n/2^w: ((rho, growth, c_even, c_odd, c_total), wp).
-
-    c_even = -Num(rho)/(rho*D'(rho)); the odd series z/(1-z)*(1+F(z,1)) -
-    F(z,z) picks up rho/(1-rho)*c_even - c_fzz, with c_fzz the residue
-    constant of F(z,z) = alpha(z,z)/D.  D, Num, alpha(rho,rho) and D' all
-    come from one pass over the k-sums, whose bits wp every value is
-    over.  A rho with |D(rho)| above 10^(-digits/2) raises DomainError.
-    """
-    working = digits + GUARD_DIGITS
-    sums = _ksums_fixed(n, w, working)
-    wp, rho, slope = sums.wp, sums.x, sums.derivative
-    residual = abs(sums.denominator)
-    _debug(
-        "amplitudes digits=%d |D(rho)|=%s k_terms=%d",
-        digits, _nstr(residual, wp, 3), sums.terms,
-    )
-    if _exceeds(residual, wp, digits):
-        raise DomainError(
-            f"rho={_nstr(rho, wp, working)} is not a root of D "
-            f"(|D(rho)| = {_nstr(residual, wp, working)})"
-        )
-    if abs(slope) * 10 ** 6 < 1 << wp:
-        raise DegeneratePoleError(
-            f"|D'(rho)| = {_nstr(abs(slope), wp, working)} is numerically zero "
-            f"at rho={_nstr(rho, wp, working)}"
-        )
-    scale = rho * slope  # rho*D' over 2^(2wp)
-    c_even = _div(-sums.numerator << 2 * wp, scale)
-    c_fzz = _div(-sums.alpha[1] << 2 * wp, scale)
-    c_odd = _div(rho * c_even, (1 << wp) - rho) - c_fzz
-    if not (c_even > 0 and c_odd > 0):
-        raise PrecisionError(
-            f"residue constants came out nonpositive: "
-            f"{_nstr(c_even, wp, working)}, {_nstr(c_odd, wp, working)}"
-        )
-    growth = _div(1 << 2 * wp, rho)
-    return (rho, growth, c_even, c_odd, c_even + c_odd), wp
-
-
 def amplitudes(rho, digits: int = 20) -> AsymptoticEstimate:
     """Residue constants at the dominant pole rho (a verified root of D).
 
-    `_amplitudes`, with rho read as an mpf at digits + 15.
+    `_pole.amplitudes`, with rho read as an mpf at digits + 15.
     """
     from mpmath import mp, mpf
 
+    from . import _pole
+
     with mp.workdps(digits + GUARD_DIGITS):
-        values, wp = _amplitudes(*_dyadic(_check_domain(rho)), digits)
+        values, wp = _pole.amplitudes(*_dyadic(_check_domain(rho)), digits)
         return AsymptoticEstimate(
             *(mpf((v, -wp)) for v in values), precision_digits=digits
         )

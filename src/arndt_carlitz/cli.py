@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import asymptotics, compositions, gf
 
@@ -131,12 +130,14 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_asymptotics(args: argparse.Namespace) -> int:
+    from . import _pole  # the int core: no mpmath on this path
+
     digits = args.digits
     # extra internal digits so every displayed digit is converged
     internal = max(digits, 20) + 5
-    values, wp = asymptotics._amplitudes(*asymptotics._find_rho(internal), internal)
+    values, wp = _pole.amplitudes(*_pole.find_rho(internal), internal)
     for name, value in zip(("rho", "growth", "c_even", "c_odd", "c_total"), values):
-        print(f"{name} = {asymptotics._nstr(value, wp, digits)}")
+        print(f"{name} = {_pole.nstr(value, wp, digits)}")
     print(f"growth (unrestricted compositions) = {asymptotics.UNRESTRICTED_GROWTH}")
     print(f"growth (Carlitz compositions) = {asymptotics.CARLITZ_GROWTH}")
     return EXIT_OK
@@ -178,23 +179,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report(f"counts n=1..{args.max_n} (brute vs gf vs slice)", all_match, mismatch_detail)
 
     if args.order >= 24:
+        from mpmath import mp, mpf
+
         total = gf.total_series(args.order)
         samples = (args.order // 4, args.order // 2, 3 * args.order // 4)
-        rho, w = asymptotics._find_rho(20)
-        growth = Fraction(1 << w, rho)
-        errs = [
-            abs(Fraction(total.coefficient(n + 1), total.coefficient(n)) - growth)
-            for n in samples
-        ]
-        shown = []
-        for e in errs:
-            # floored to 64 significant bits, ample for 4 digits
-            wp = 64 + e.denominator.bit_length() - e.numerator.bit_length()
-            shown.append(asymptotics._nstr((e.numerator << wp) // e.denominator, wp, 4))
+        with mp.workdps(35):
+            growth = 1 / asymptotics.find_rho(20)
+            errs = [
+                abs(mpf(total.coefficient(n + 1)) / total.coefficient(n) - growth)
+                for n in samples
+            ]
         report(
             f"growth-ratio convergence at n={samples}",
             errs[0] > errs[1] > errs[2],
-            f"errors {shown}",
+            f"errors {[mp.nstr(e, 4) for e in errs]}",
         )
     else:
         print(f"skipped: growth-ratio convergence (needs --order >= 24, got {args.order})")

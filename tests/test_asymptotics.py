@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from arndt_carlitz import asymptotics, cli
+from arndt_carlitz import _pole, asymptotics, cli
 from arndt_carlitz.asymptotics import (
     BracketError,
     DomainError,
@@ -20,7 +20,6 @@ from arndt_carlitz.asymptotics import (
     eval_denominator,
     eval_numerator,
     find_rho,
-    _nstr,
 )
 from arndt_carlitz.gf import (
     alpha_series,
@@ -134,7 +133,7 @@ def test_ksum_kernel_grid(x_str):
                 assert abs(got - want) < bound, (x_str, dps, name)
 
 
-@pytest.mark.parametrize("x_str", ["0.999", "0.999999"])
+@pytest.mark.parametrize("x_str", ["0.999", "0.999999", "0.999999999999"])
 def test_ksums_fail_fast_where_they_cannot_converge(x_str):
     # B_0(k) stays above the value threshold for every k <= _MAX_TERMS, so
     # the pass raises before its loop instead of after 100000 terms
@@ -143,6 +142,17 @@ def test_ksums_fail_fast_where_they_cannot_converge(x_str):
         with pytest.raises(PrecisionError):
             asymptotics._ksums(mpf(x_str), None, dps)
         assert time.perf_counter() - start < 1
+
+
+def test_ksums_fail_fast_next_to_one():
+    # 1 - x = 2^-1100 is below the smallest float; the check before the
+    # pass reads the ints, and no width that grows like 1/(1-x) is formed
+    with mp.workprec(1200):
+        x = 1 - mpf(2) ** -1100
+    start = time.perf_counter()
+    with pytest.raises(PrecisionError):
+        eval_denominator(x, dps=400)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("tol", [0, -1])
@@ -208,6 +218,16 @@ def test_find_rho_input_validation():
         find_rho(9)
 
 
+def test_find_rho_keeps_a_tiny_lower_end_inside_the_domain():
+    # 1e-40 is below the 2^-119 step of 35 working digits: the end is read
+    # exactly, checked in (0, 1), and rounded no lower than one step
+    with mp.workdps(40):
+        assert abs(find_rho(20, ("1e-40", "0.70")) - mpf(RHO)) < mpf("1e-25")
+    for bracket in (("0", "0.70"), ("-1e-40", "0.70"), ("0.55", "1")):
+        with pytest.raises(DomainError):
+            find_rho(20, bracket)
+
+
 def test_find_rho_rejects_signless_bracket():
     with pytest.raises(BracketError):
         find_rho(15, bracket=("0.10", "0.20"))
@@ -239,13 +259,13 @@ def test_find_rho_stays_in_bracket(bracket, caplog):
 def test_find_rho_pass_budget(monkeypatch):
     # deterministic work guard: each fused k-sum pass is one evaluation of D
     passes = []
-    real = asymptotics._ksums_fixed
+    real = _pole.ksums
 
     def counting(*args, **kwargs):
         passes.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(asymptotics, "_ksums_fixed", counting)
+    monkeypatch.setattr(_pole, "ksums", counting)
     with mp.workdps(110):
         assert abs(find_rho(85) - mpf(RHO_120)) < mpf("1e-100")
     assert 0 < len(passes) <= 12
@@ -256,13 +276,13 @@ def test_find_rho_reevaluates_an_endpoint_near_the_root(monkeypatch):
     # budget (1e-10 at 20 digits), so its sign is read again at full
     # working precision (40 digits for find_rho(25)) before it is trusted
     precisions = []
-    real = asymptotics._ksums_fixed
+    real = _pole.ksums
 
     def counting(n, w, dps, tol=None):
         precisions.append(dps)
         return real(n, w, dps, tol)
 
-    monkeypatch.setattr(asymptotics, "_ksums_fixed", counting)
+    monkeypatch.setattr(_pole, "ksums", counting)
     with mp.workdps(50):
         rho = find_rho(25, bracket=(mpf(RHO) - mpf("1e-12"), "0.70"))
         assert abs(rho - mpf(RHO)) < mpf("1e-30")
@@ -449,27 +469,27 @@ def nstr_oracle(n, wp, digits):
     st.integers(min_value=1, max_value=60),
 )
 def test_nstr_matches_mpmath(n, wp, digits):
-    assert _nstr(n, wp, digits) == nstr_oracle(n, wp, digits)
+    assert _pole.nstr(n, wp, digits) == nstr_oracle(n, wp, digits)
 
 
 def test_nstr_explicit_cases():
-    assert _nstr(0, 10, 5) == "0.0" == nstr_oracle(0, 10, 5)
+    assert _pole.nstr(0, 10, 5) == "0.0" == nstr_oracle(0, 10, 5)
     # within 3 units 2^-wp of a decimal tie (0.12345, 9.9995, 9.9995e-8):
     # near 36 bits the cut to bitprec bits decides which way 4 digits round
     for wp in (30, 34, 36, 40, 60, 200):
         for tie_num, tie_den in ((12345, 10**5), (99995, 10**4), (99995, 10**12)):
             centre = (tie_num << wp) // tie_den
             for n in range(centre - 3, centre + 4):
-                assert _nstr(n, wp, 4) == nstr_oracle(n, wp, 4), (wp, tie_num, n)
+                assert _pole.nstr(n, wp, 4) == nstr_oracle(n, wp, 4), (wp, tie_num, n)
     # scientific notation on both sides, and the fixed-point window's edges
     wp = 200
     for value, digits in (("1e-40", 10), ("3.5e-6", 5), ("0.00001234", 3), ("123456", 3),
                           ("123456", 6), ("9.87e30", 20), ("1", 1), ("0.6279", 1)):
         with mp.workprec(400):
             n = int(mp.floor(mpf(value) * 2 ** wp))
-        assert _nstr(n, wp, digits) == nstr_oracle(n, wp, digits), value
+        assert _pole.nstr(n, wp, digits) == nstr_oracle(n, wp, digits), value
     with pytest.raises(ValueError):
-        _nstr(1, -3600, 5)
+        _pole.nstr(1, -3600, 5)
 
 
 @pytest.mark.parametrize("digits", [1, 5, 10, 15, 19, 20, 21, 37, 57, 80, 100])

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from arndt_carlitz import asymptotics, cli, gf
+from arndt_carlitz import _pole, cli, gf
 from arndt_carlitz.asymptotics import (
     BracketError,
     DegeneratePoleError,
@@ -226,14 +226,14 @@ def test_asymptotics_precision_failure_exit(capsys, monkeypatch):
             raise error("numeric failure")
 
         # the int core that the command calls
-        monkeypatch.setattr(asymptotics, "_find_rho", broken)
+        monkeypatch.setattr(_pole, "find_rho", broken)
         code, out, err = run(capsys, "asymptotics")
         assert (code, out, err) == (EXIT_PRECISION, "", "error: numeric failure\n"), error
 
 
 def test_asymptotics_non_root_exit(capsys, monkeypatch):
     # the int core that the command calls, returning rho = 1/2^1
-    monkeypatch.setattr(asymptotics, "_find_rho", lambda *args, **kwargs: (1, 1))
+    monkeypatch.setattr(_pole, "find_rho", lambda *args, **kwargs: (1, 1))
     code, out, err = run(capsys, "asymptotics")
     assert code == EXIT_PRECISION
     assert out == ""
@@ -355,10 +355,10 @@ def test_verify_small_order_skips_ratio_check(capsys):
 
 # ------------------------------------------------------- lazy numeric layer
 
-# mpmath is imported only inside the public mpf functions of asymptotics,
-# which no command calls; logging is never imported by the package (DEBUG
-# records need it loaded by the caller)
-NUMERIC_MODULES = ("mpmath", "logging")
+# the int core `_pole` and mpmath are imported only inside the functions
+# that need them; logging is never imported by the package (DEBUG records
+# need it loaded by the caller)
+NUMERIC_MODULES = ("arndt_carlitz._pole", "mpmath", "logging")
 
 # runs each argv through cli.main in one fresh interpreter and prints, per
 # call, its exit code and which of NUMERIC_MODULES are loaded after it
@@ -395,9 +395,12 @@ def test_exact_commands_never_load_the_numeric_layer():
 @pytest.mark.parametrize(
     "argv", [["asymptotics", "--digits", "20"], ["verify", "--order", "24"]]
 )
-def test_numeric_commands_never_load_mpmath(argv):
-    # both run on the int core of asymptotics and print with its _nstr
-    assert probe_modules(argv) == [[EXIT_OK, []]]
+def test_numeric_commands_load_the_numeric_layer(argv):
+    # asymptotics runs on the int core alone and prints with its nstr;
+    # verify reads rho from the public mpf find_rho
+    loaded = {"asymptotics": ["arndt_carlitz._pole"],
+              "verify": ["arndt_carlitz._pole", "mpmath"]}[argv[0]]
+    assert probe_modules(argv) == [[EXIT_OK, loaded]]
 
 
 def test_unrelated_exception_is_not_mapped_to_exit_five(monkeypatch):
