@@ -9,46 +9,45 @@ dominant-pole asymptotics of the counting sequences.
 The root exports the entry points and the records and errors they return
 or raise; the building blocks are imported from the modules
 `arndt_carlitz.gf`, `.asymptotics`, `.series` and `.compositions`.
+Importing the root loads none of them: each name imports its module on
+first access (PEP 562), so a command compiles only the code it runs.
 """
 
-from .asymptotics import (
-    AsymptoticEstimate,
-    BracketError,
-    DegeneratePoleError,
-    DomainError,
-    PrecisionError,
-    amplitudes,
-    asymptotic_count,
-    find_rho,
-)
-from .compositions import (
-    CapExceededError,
-    DEFAULT_CAP,
-    ParityCounts,
-    count_brute_force,
-    list_arndt_carlitz,
-)
-from .gf import SeriesBundle, SeriesConsistencyError, series_bundle, slice_bundle
-from .series import NonInvertibleSeriesError, TruncatedSeries
+from importlib import import_module
 
-__all__ = [
-    "AsymptoticEstimate",
-    "BracketError",
-    "CapExceededError",
-    "DEFAULT_CAP",
-    "DegeneratePoleError",
-    "DomainError",
-    "NonInvertibleSeriesError",
-    "ParityCounts",
-    "PrecisionError",
-    "SeriesBundle",
-    "SeriesConsistencyError",
-    "TruncatedSeries",
-    "amplitudes",
-    "asymptotic_count",
-    "count_brute_force",
-    "find_rho",
-    "list_arndt_carlitz",
-    "series_bundle",
-    "slice_bundle",
-]
+# each public name -> the module that defines it
+_OWNERS = {
+    "AsymptoticEstimate": "asymptotics",
+    "BracketError": "asymptotics",
+    "CapExceededError": "compositions",
+    "DEFAULT_CAP": "compositions",
+    "DegeneratePoleError": "asymptotics",
+    "DomainError": "asymptotics",
+    "NonInvertibleSeriesError": "series",
+    "ParityCounts": "compositions",
+    "PrecisionError": "asymptotics",
+    "SeriesBundle": "gf",
+    "SeriesConsistencyError": "gf",
+    "TruncatedSeries": "series",
+    "amplitudes": "asymptotics",
+    "asymptotic_count": "asymptotics",
+    "count_brute_force": "compositions",
+    "find_rho": "asymptotics",
+    "list_arndt_carlitz": "compositions",
+    "series_bundle": "gf",
+    "slice_bundle": "gf",
+}
+
+__all__ = list(_OWNERS)
+
+
+def __getattr__(name: str):
+    owner = _OWNERS.get(name)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{owner}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -7,17 +7,16 @@ constants, and `nstr` prints a value digit for digit as mpmath's nstr
 does.  The public mpf functions of `asymptotics` convert around this
 core, and the `asymptotics` command calls it directly, so that command
 loads no mpmath.  The module is imported on first use: commands that
-never reach the numeric layer do not load it.
+never reach the numeric layer do not load it.  Exact rationals are int
+pairs (num, den), and fractions is imported only to print an error message.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .asymptotics import (
-    DEFAULT_BRACKET,
     GUARD_DIGITS,
     BracketError,
     DegeneratePoleError,
@@ -32,6 +31,9 @@ _MAX_TERMS = 100_000
 _MIN_RUNG = 15
 
 _MAX_STEPS_PER_RUNG = 100
+
+# asymptotics.DEFAULT_BRACKET, ("0.55", "0.70"), as exact (num, den) ends
+BRACKET = ((11, 20), (7, 10))
 
 
 class KSums(NamedTuple):
@@ -63,10 +65,10 @@ def _div(a: int, b: int) -> int:
     return (2 * a + b) // (2 * b)
 
 
-def _mag(v: Fraction) -> int:
-    """The least m with v < 2^m, for v > 0 (mpmath's mag of the exact value)."""
-    m = v.numerator.bit_length() - v.denominator.bit_length()
-    return m + 1 if v >= Fraction(2) ** m else m
+def _mag(num: int, den: int) -> int:
+    """The least m with num/den < 2^m, for num, den > 0 (mpmath's mag of the exact value)."""
+    m = num.bit_length() - den.bit_length()
+    return m + 1 if num << max(-m, 0) >= den << max(m, 0) else m
 
 
 def _exceeds(f: int, wp: int, dps: int) -> bool:
@@ -119,23 +121,25 @@ def nstr(n: int, wp: int, digits: int) -> str:
     return f"{text}e{'+' if exponent > 0 else ''}{exponent}"
 
 
-def _qstr(q: Fraction, digits: int) -> str:
-    """str of the mpf nearest to q at `digits` digits, as mpmath prints it."""
-    if not q:
+def _qstr(num: int, den: int, digits: int) -> str:
+    """str of the mpf nearest to num/den (den > 0) at `digits` digits, as mpmath prints it."""
+    from fractions import Fraction  # error messages only
+
+    if not num:
         return "0.0"
-    wp = _dps_to_prec(digits) - _mag(abs(q))
-    return nstr(round(q * Fraction(2) ** wp), wp, digits)
+    wp = _dps_to_prec(digits) - _mag(abs(num), den)
+    return nstr(round(Fraction(num, den) * Fraction(2) ** wp), wp, digits)
 
 
-def _stuck(value_threshold: Fraction, dps: int) -> PrecisionError:
-    """The error of a pass whose terms cannot fall below value_threshold."""
+def _stuck(value_threshold: tuple[int, int], dps: int) -> PrecisionError:
+    """The error of a pass whose terms cannot fall below value_threshold (num, den)."""
     return PrecisionError(
-        f"tail of the k-sums did not reach {_qstr(value_threshold, dps)} "
+        f"tail of the k-sums did not reach {_qstr(*value_threshold, dps)} "
         f"within {_MAX_TERMS} terms"
     )
 
 
-def _never_small(n: int, w: int, value_threshold: Fraction) -> bool:
+def _never_small(n: int, w: int, value_threshold: tuple[int, int]) -> bool:
     """True if B_0(k) = x^(2k-1)/P_0(k) stays above e*value_threshold for all k <= _MAX_TERMS.
 
     B_0 is log-concave (see `ksums`), so the two ends of the range decide.
@@ -148,7 +152,7 @@ def _never_small(n: int, w: int, value_threshold: Fraction) -> bool:
     rounding.
     """
     # value_threshold < 2^mag, so this target errs on the side of the loop
-    target = _mag(value_threshold) * math.log(2) + 1
+    target = _mag(*value_threshold) * math.log(2) + 1
     ln_x = math.log(n) - w * math.log(2)
     ln_first = math.log(n) - math.log((1 << w) - n)
     low = (2 * _MAX_TERMS - 1) * ln_x
@@ -168,10 +172,11 @@ def _never_small(n: int, w: int, value_threshold: Fraction) -> bool:
     return low >= target
 
 
-def ksums(n: int, w: int, dps: int, tol: Fraction | None = None) -> KSums:
+def ksums(n: int, w: int, dps: int, tol=None) -> KSums:
     """alpha(x,x^s), beta(x,x^s), s = 0, 1, and their x-derivatives at x = n/2^w.
 
     One pass; every value of the result is an int over 2^wp (see `KSums`).
+    tol (default 10^-(dps+5)) is read exactly, as tol.numerator/tol.denominator.
 
     With P_s(j) = prod_{l<=j} (1 - x^(2l-1+s)) the k-th terms are
 
@@ -234,25 +239,25 @@ def ksums(n: int, w: int, dps: int, tol: Fraction | None = None) -> KSums:
     the pass can never stop, and it raises PrecisionError before it sizes
     wp (which grows like 1/(1-x)) or allocates anything at that width.
     """
-    x = Fraction(n, 1 << w)
-    tol = Fraction(1, 10 ** (dps + 5)) if tol is None else tol
-    value_threshold = tol * (1 - x * x)
+    tol_num, tol_den = (1, 10 ** (dps + 5)) if tol is None else (tol.numerator, tol.denominator)
+    gap = (1 << 2 * w) - n * n  # 1 - x^2 = gap/2^(2w); thresholds are exact (num, den)
+    value_threshold = (tol_num * gap, tol_den << 2 * w)
     if _never_small(n, w, value_threshold):
         raise _stuck(value_threshold, dps)
-    slope_threshold = value_threshold * (1 - x * x) * x  # compared with x*term'
+    slope_threshold = (tol_num * gap * gap * n, tol_den << 5 * w)  # compared with x*term'
     inv_gap = (1 << w) / ((1 << w) - n)
     # G of the docstring, one bit up for the float rounding
     guard = math.ceil(math.pi ** 2 / 6 * (inv_gap - 1) / math.log(2)) + 1
     wp = (
-        max(_dps_to_prec(dps) - 2 * (n.bit_length() - w), 3 - _mag(slope_threshold))
+        max(_dps_to_prec(dps) - 2 * (n.bit_length() - w), 3 - _mag(*slope_threshold))
         + guard + 3 * _MAX_TERMS.bit_length() + 4 * math.ceil(math.log2(inv_gap)) + 18
     )
     one = 1 << wp
     one_squared = one << wp
     xf = n << (wp - w) if wp >= w else n >> (w - wp)
     xf2 = xf * xf >> wp
-    value_cut = (value_threshold.numerator << wp) // value_threshold.denominator
-    slope_cut = (slope_threshold.numerator << wp) // slope_threshold.denominator
+    value_cut = (value_threshold[0] << wp) // value_threshold[1]
+    slope_cut = (slope_threshold[0] << wp) // slope_threshold[1]
     power = xf                   # x^(2k-1)
     inv_odd = one_squared // (one - xf)  # 1/(1-x^(2k-1))
     t_odd = power * inv_odd >> wp  # t(2k-1)
@@ -336,7 +341,7 @@ def _ladder(working: int) -> list[int]:
     return rungs[::-1]
 
 
-def find_rho(digits: int, bracket=DEFAULT_BRACKET) -> tuple[int, int]:
+def find_rho(digits: int, bracket=BRACKET) -> tuple[int, int]:
     """(n, w) with the zero n/2^w of D in (0, 1), w the bits of digits + 15.
 
     Safeguarded Newton iteration on the analytic D' with precision
@@ -348,9 +353,9 @@ def find_rho(digits: int, bracket=DEFAULT_BRACKET) -> tuple[int, int]:
     budget shrinks a sign-change bracket around the iterates; a Newton
     step that would leave the bracket is replaced by a bisection step, so
     the root stays enclosed.  The iteration stops once a step at full
-    working precision is below 10^-(digits+8).  The bracket's ends may be
-    anything Fraction accepts; each must lie in (0, 1) and is rounded to
-    w bits, but never onto 0 or 1.
+    working precision is below 10^-(digits+8).  The bracket's ends are
+    exact ratios (num, den) with den > 0; each must lie in (0, 1) and is
+    rounded to w bits, but never onto 0 or 1.
     """
     if digits < 10:
         raise ValueError(f"digits must be >= 10, got {digits}")
@@ -370,13 +375,12 @@ def find_rho(digits: int, bracket=DEFAULT_BRACKET) -> tuple[int, int]:
             sums = evaluate(x, working)
         return sums
 
-    ends = [Fraction(end) for end in bracket]
-    for end in ends:
-        if not 0 < end < 1:
+    for num, den in bracket:
+        if not 0 < num < den:
             raise DomainError(
-                f"evaluation point must lie in (0, 1), got {_qstr(end, ladder[0])}"
+                f"evaluation point must lie in (0, 1), got {_qstr(num, den, ladder[0])}"
             )
-    a, b = (min(max(_div(q.numerator << w, q.denominator), 1), (1 << w) - 1) for q in ends)
+    a, b = (min(max(_div(num << w, den), 1), (1 << w) - 1) for num, den in bracket)
     fa, fb = endpoint(a), endpoint(b)
     if not fa.denominator:
         return a, w

@@ -26,16 +26,14 @@ mpf appears only at the public boundary: `find_rho`, `amplitudes`, the
 with mpf((n, -w)) around the int core in the private module `_pole`,
 which loads on first use.  The `asymptotics` command calls that core and
 prints with its `nstr`, so it loads no mpmath; this module never imports
-logging (see `_debug`).
+logging (see `_debug`).  gf and fractions are imported only by the
+functions that use them, so that command runs on ints from argv to stdout.
 """
 
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
-
-from .gf import _variant_shift, denominator_series
 
 if TYPE_CHECKING:
     from mpmath import mpf
@@ -107,6 +105,8 @@ def _check_domain(x) -> mpf:
 
 def _ksums(x, tol=None, dps: int = DEFAULT_DPS):
     """`_pole.ksums` at a real x rounded to dps digits, every value an mpf at dps."""
+    from fractions import Fraction
+
     from mpmath import mp, mpf
 
     from . import _pole
@@ -129,12 +129,16 @@ def _ksums(x, tol=None, dps: int = DEFAULT_DPS):
 
 def eval_alpha(x, variant: str = "one", tol=None, dps: int = DEFAULT_DPS) -> mpf:
     """alpha(z,1) or alpha(z,z) at a real point of (0, 1), tail below tol."""
+    from .gf import _variant_shift
+
     s = _variant_shift(variant)
     return _ksums(x, tol, dps).alpha[s]
 
 
 def eval_beta(x, variant: str = "one", tol=None, dps: int = DEFAULT_DPS) -> mpf:
     """beta(z,1) or beta(z,z) at a real point of (0, 1); negative there."""
+    from .gf import _variant_shift
+
     s = _variant_shift(variant)
     return _ksums(x, tol, dps).beta[s]
 
@@ -159,7 +163,7 @@ def find_rho(digits: int = 20, bracket=DEFAULT_BRACKET) -> mpf:
     from . import _pole
 
     with mp.workdps(digits + GUARD_DIGITS):
-        ends = [Fraction(n, 1 << w) for n, w in (_dyadic(mpf(end)) for end in bracket)]
+        ends = [(n, 1 << w) for n, w in (_dyadic(mpf(end)) for end in bracket)]
         n, w = _pole.find_rho(digits, ends)
         return mpf((n, -w))
 
@@ -176,6 +180,8 @@ def denominator_derivative_via_series(x, order: int = 250, dps: int = DEFAULT_DP
     3e-51), so order 250 checks D'(rho) to about 35 digits.
     """
     from mpmath import mp
+
+    from .gf import denominator_series
 
     with mp.workdps(dps):
         xv = _check_domain(x)

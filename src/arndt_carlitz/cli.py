@@ -13,7 +13,9 @@ import argparse
 import os
 import sys
 
-from . import asymptotics, compositions, gf
+# gf (and with it series) loads only in the commands that build series;
+# the parser choices and main's except clauses need these two
+from . import asymptotics, compositions
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -77,19 +79,22 @@ def _bundle_counts(bundle: gf.SeriesBundle, n: int) -> compositions.ParityCounts
     return compositions.ParityCounts(even, odd, even + odd)
 
 
-def _counts_for(n: int, method: str, cap: int) -> compositions.ParityCounts:
+def _counts_for(n: int, method: str) -> compositions.ParityCounts:
     if method == "brute":
-        return compositions.count_brute_force(n, cap)
+        return compositions.count_brute_force(n, _brute_cap())
+    from . import gf
+
     return _bundle_counts(gf.series_bundle(n) if method == "gf" else gf.slice_bundle(n), n)
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    cap = _brute_cap()
     if args.method == "gf" and args.parity == "even":
+        from . import gf
+
         # F(z,1) alone: the bundle would also divide out F(z,z) for odd and total
         shown = {"even": gf.even_series(args.n).coefficient(args.n)}
     else:
-        fields = _counts_for(args.n, args.method, cap)._asdict()
+        fields = _counts_for(args.n, args.method)._asdict()
         shown = fields if args.parity == "all" else {args.parity: fields[args.parity]}
     parts = [f"n={args.n}"] + [f"{k}={v}" for k, v in shown.items()]
     print(" ".join(parts))
@@ -97,6 +102,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
+    from . import gf
+
+    if args.order is None:  # gf's default order: the parser does not load gf
+        args.order = gf.DEFAULT_ORDER
     series = {"even": gf.even_series, "odd": gf.odd_series, "all": gf.total_series}
     coeffs = series[args.parity](args.order).coeffs
     if args.format == "plain":
@@ -144,6 +153,10 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import gf
+
+    if args.order is None:  # gf's default order: the parser does not load gf
+        args.order = gf.DEFAULT_ORDER
     cap = _brute_cap()
     if args.max_n > cap:
         raise UsageError(f"--max-n {args.max_n} exceeds the brute-force cap {cap}")
@@ -218,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.set_defaults(func=_cmd_count)
 
     p_series = sub.add_parser("series", help="emit counting-series coefficients")
-    p_series.add_argument("--order", type=_bounded_int(0), default=gf.DEFAULT_ORDER)
+    p_series.add_argument("--order", type=_bounded_int(0), default=None)
     p_series.add_argument("--parity", choices=compositions.PARITIES, default="all")
     p_series.add_argument(
         "--format", choices=("plain", "json", "csv", "bfile"), default="plain"
@@ -237,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the cross-verification harness")
     p_verify.add_argument("--max-n", type=_bounded_int(1), default=16, dest="max_n")
-    p_verify.add_argument("--order", type=_bounded_int(0), default=gf.DEFAULT_ORDER)
+    p_verify.add_argument("--order", type=_bounded_int(0), default=None)
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

@@ -4,8 +4,10 @@ Two carriers: TruncatedSeries in z, and BivariateTruncatedSeries in (z, u)
 with u-substitution maps.  All arithmetic is exact: every coefficient is
 stored in canonical form, an int when it is integral and a
 fractions.Fraction otherwise, so integer series stay in int arithmetic
-throughout.  Nothing in this module ever rounds.  Values are immutable
-after construction, so they are safe to share across threads and to cache.
+throughout (fractions is imported only once a non-int value, or a divisor
+whose constant term is not +-1, shows up).  Nothing in this module ever
+rounds.  Values are immutable after construction, so they are safe to
+share across threads and to cache.
 
 Truncation convention: a series of order N stores coefficients of
 z^0 .. z^N inclusive; every operation truncates its result back to order N.
@@ -14,21 +16,32 @@ Binary operations on different orders normalize to the smaller order.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Scalar = Union[int, "Fraction"]
 
 
 class NonInvertibleSeriesError(ZeroDivisionError):
     """Division by a series whose constant term is zero."""
 
 
+def _is_scalar(v: object) -> bool:
+    """True for an int or a Fraction; only a non-int imports fractions."""
+    if isinstance(v, int):
+        return True
+    from fractions import Fraction
+
+    return isinstance(v, Fraction)
+
+
 def _frac(v: Scalar) -> Scalar:
     """Canonical exact coefficient: int when integral, else Fraction."""
     if isinstance(v, int):
         return int(v)
-    if isinstance(v, Fraction):
+    if _is_scalar(v):
         return v.numerator if v.denominator == 1 else v
     # floats are rejected outright: this module is the exact substrate
     raise TypeError(f"coefficients must be int or Fraction, got {type(v).__name__}")
@@ -119,11 +132,11 @@ class TruncatedSeries:
         return TruncatedSeries([-c for c in self._coeffs])
 
     def __mul__(self, other: Union["TruncatedSeries", Scalar]) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, TruncatedSeries):
+            if not _is_scalar(other):
+                return NotImplemented
             s = _frac(other)
             return TruncatedSeries([c * s for c in self._coeffs])
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
         n = self._common_order(other)
         out = [0] * (n + 1)
         for i, a in enumerate(self._coeffs[: n + 1]):
@@ -151,7 +164,12 @@ class TruncatedSeries:
                 "cannot divide by a series with zero constant term"
             )
         n = self._common_order(other)
-        inv0 = _frac(Fraction(1, b[0]))
+        if b[0] in (1, -1):  # its own inverse: integer series stay int
+            inv0 = b[0]
+        else:
+            from fractions import Fraction
+
+            inv0 = _frac(Fraction(1, b[0]))
         support = [(i, b[i]) for i in range(1, n + 1) if b[i]]
         out = list(self._coeffs[: n + 1])
         for k in range(n + 1):

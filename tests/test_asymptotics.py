@@ -1,9 +1,10 @@
+import inspect
 import logging
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from arndt_carlitz import _pole, asymptotics, cli
@@ -226,6 +227,31 @@ def test_find_rho_keeps_a_tiny_lower_end_inside_the_domain():
     for bracket in (("0", "0.70"), ("-1e-40", "0.70"), ("0.55", "1")):
         with pytest.raises(DomainError):
             find_rho(20, bracket)
+
+
+def test_int_core_default_bracket_is_the_public_one():
+    # _pole keeps DEFAULT_BRACKET as exact int ratios, so it needs no Fraction
+    default = inspect.signature(_pole.find_rho).parameters["bracket"].default
+    assert default is _pole.BRACKET
+    assert [Fraction(*end) for end in _pole.BRACKET] == [
+        Fraction(end) for end in asymptotics.DEFAULT_BRACKET
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2 ** 300), st.integers(1, 2 ** 300))
+@example(1, 1)
+@example(2, 1)
+@example(1, 2)
+@example(3, 6)
+@example(6, 3)
+@example(2 ** 100, 1)
+@example(1, 2 ** 100)
+@example(2 ** 100 - 1, 2 ** 100)
+def test_mag_is_the_least_exponent_above_the_ratio(num, den):
+    # the k-sum thresholds are int pairs: _mag reads them exactly
+    m = _pole._mag(num, den)
+    assert Fraction(2) ** (m - 1) <= Fraction(num, den) < Fraction(2) ** m
 
 
 def test_find_rho_rejects_signless_bracket():

@@ -303,6 +303,14 @@ def test_env_cap_garbage_is_usage_error(capsys, monkeypatch):
     assert cli.CAP_ENV_VAR in err
 
 
+@pytest.mark.parametrize("method", ["gf", "slice"])
+def test_env_cap_is_read_only_where_brute_force_runs(capsys, monkeypatch, method):
+    # the exact paths are not capped, so a bad cap value cannot fail them
+    monkeypatch.setenv(cli.CAP_ENV_VAR, "lots")
+    code, out, err = run(capsys, "count", "--n", "5", "--method", method)
+    assert (code, out, err) == (EXIT_OK, "n=5 even=2 odd=2 total=4\n", "")
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["count", "--n", "0"])
@@ -360,8 +368,12 @@ def test_verify_small_order_skips_ratio_check(capsys):
 # need it loaded by the caller)
 NUMERIC_MODULES = ("arndt_carlitz._pole", "mpmath", "logging")
 
+# the exact layer: gf and series load only with the commands that build
+# series, and fractions only once a non-integer coefficient shows up
+EXACT_MODULES = ("arndt_carlitz.gf", "arndt_carlitz.series", "fractions")
+
 # runs each argv through cli.main in one fresh interpreter and prints, per
-# call, its exit code and which of NUMERIC_MODULES are loaded after it
+# call, its exit code and which of the given modules are loaded after it
 _PROBE = """
 import contextlib, io, json, sys
 from arndt_carlitz.cli import main
@@ -385,10 +397,14 @@ def probe_modules(*argvs, modules=NUMERIC_MODULES):
 def test_exact_commands_never_load_the_numeric_layer():
     formats = ("plain", "json", "csv", "bfile")
     argvs = [["series", "--order", "40", "--format", fmt] for fmt in formats]
-    argvs += [["count", "--n", "12", "--method", m] for m in ("gf", "slice", "brute")]
-    argvs += [["list", "--n", "8"]]
-    # the package's records are NamedTuples: dataclasses stays unloaded too
-    modules = NUMERIC_MODULES + ("dataclasses",)
+    argvs += [["count", "--n", "12", "--method", m] for m in ("gf", "slice")]
+    # the package's records are NamedTuples: dataclasses stays unloaded too;
+    # the counting series are integral, so fractions does as well
+    modules = NUMERIC_MODULES + ("dataclasses", "fractions")
+    assert probe_modules(*argvs, modules=modules) == [[EXIT_OK, []]] * len(argvs)
+    # brute force and listing build no series: one process without gf
+    argvs = [["count", "--n", "12", "--method", "brute"], ["list", "--n", "8"]]
+    modules = NUMERIC_MODULES + EXACT_MODULES + ("dataclasses",)
     assert probe_modules(*argvs, modules=modules) == [[EXIT_OK, []]] * len(argvs)
 
 
@@ -396,11 +412,14 @@ def test_exact_commands_never_load_the_numeric_layer():
     "argv", [["asymptotics", "--digits", "20"], ["verify", "--order", "24"]]
 )
 def test_numeric_commands_load_the_numeric_layer(argv):
-    # asymptotics runs on the int core alone and prints with its nstr;
-    # verify reads rho from the public mpf find_rho
+    # asymptotics runs on the int core alone, from argv to stdout, and prints
+    # with its nstr; verify checks the series and reads rho from the public
+    # mpf find_rho
     loaded = {"asymptotics": ["arndt_carlitz._pole"],
-              "verify": ["arndt_carlitz._pole", "mpmath"]}[argv[0]]
-    assert probe_modules(argv) == [[EXIT_OK, loaded]]
+              "verify": ["arndt_carlitz._pole", "mpmath",
+                         "arndt_carlitz.gf", "arndt_carlitz.series"]}[argv[0]]
+    modules = NUMERIC_MODULES + EXACT_MODULES
+    assert probe_modules(argv, modules=modules) == [[EXIT_OK, loaded]]
 
 
 def test_unrelated_exception_is_not_mapped_to_exit_five(monkeypatch):

@@ -1,6 +1,6 @@
 """The package's public surface: the root exports exactly the entry points,
 every name in __all__ resolves, the building blocks resolve in their own
-modules, and importing the package leaves mpmath and logging unloaded."""
+modules, and importing the package loads only what is used."""
 
 import importlib
 import os
@@ -97,15 +97,62 @@ def test_unknown_attribute_raises_standard_error():
     assert str(exc.value) == "module 'arndt_carlitz' has no attribute 'no_such_name'"
 
 
-def test_bare_import_leaves_mpmath_unloaded():
-    probe = (
-        "import sys, arndt_carlitz; "
-        "print(sorted(m for m in ('mpmath', 'logging') if m in sys.modules))"
-    )
+def fresh(probe: str) -> str:
+    """Stdout of `probe` run in a fresh interpreter."""
     # the child imports the package from this process's path: the tree under test
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
         capture_output=True, text=True, check=True, timeout=60,
     )
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_bare_import_leaves_mpmath_unloaded():
+    probe = (
+        "import sys, arndt_carlitz; "
+        "print(sorted(m for m in ('mpmath', 'logging') if m in sys.modules))"
+    )
+    assert fresh(probe) == "[]\n"
+
+
+LOADED_SUBMODULES = (
+    "import sys, {module}; "
+    "print(sorted(m for m in sys.modules if m.startswith('arndt_carlitz.')))"
+)
+
+
+def test_bare_import_loads_no_submodule():
+    # each root name imports its module on first access
+    assert fresh(LOADED_SUBMODULES.format(module="arndt_carlitz")) == "[]\n"
+
+
+def test_cli_import_loads_only_what_every_command_needs():
+    # the parser choices and main's except clauses need compositions and
+    # asymptotics; they must also stay top-level imports because the
+    # benchmark tracer (perfbench/trace_boot.py) wraps only functions of
+    # modules loaded before it runs, and a traced verify books
+    # asymptotics:find_rho and compositions:count_brute_force
+    expected = ["arndt_carlitz.asymptotics", "arndt_carlitz.cli", "arndt_carlitz.compositions"]
+    assert fresh(LOADED_SUBMODULES.format(module="arndt_carlitz.cli")) == f"{expected}\n"
+
+
+def test_lazy_fraction_imports_work_in_a_fresh_interpreter():
+    # in-process tests run with fractions loaded by the test modules; here
+    # every path that imports it on demand runs in a process that had not
+    probe = """
+import sys
+from arndt_carlitz.asymptotics import find_rho
+from arndt_carlitz.series import TruncatedSeries
+assert "fractions" not in sys.modules
+print(find_rho(20, ("1e-40", "0.70")))
+assert "fractions" not in sys.modules
+half = TruncatedSeries.one(3) / TruncatedSeries([2, 1, 0, 0])
+print(half.coeffs, type(half.coeffs[1]).__name__)
+print((TruncatedSeries([1, 2]) * half.coeffs[0]).coeffs)
+"""
+    assert fresh(probe).splitlines() == [
+        "0.627901008918481",
+        "(Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8), Fraction(-1, 16)) Fraction",
+        "(Fraction(1, 2), 1)",
+    ]
