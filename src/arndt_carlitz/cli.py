@@ -1,7 +1,11 @@
 """Command-line interface: counting, listing, series export, asymptotics, verify.
 
-Exit codes: 0 success, 2 usage error, 3 brute-force cap exceeded,
-4 verification mismatch, 5 numeric/precision failure.
+Exit codes: 0 success, 1 output pipe closed early, 2 usage error,
+3 brute-force cap exceeded, 4 verification mismatch, 5 numeric/precision
+failure.
+
+The process entry is `run`; `main` is the in-process entry for tests and
+library callers.
 
 The brute-force cap (default 30) can be overridden with the
 ARNDT_CARLITZ_CAP environment variable.
@@ -10,6 +14,7 @@ ARNDT_CARLITZ_CAP environment variable.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -18,6 +23,7 @@ import sys
 from . import asymptotics, compositions
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_MISMATCH = 4
@@ -277,5 +283,27 @@ def main(argv=None) -> int:
         return EXIT_PRECISION
 
 
+def run() -> int:
+    """Process entry: `main` on sys.argv, then the heap frozen for the exit.
+
+    stdout is flushed inside the try, so a reader that closed the pipe
+    early ends the process with exit 1 and no traceback: fd 1 then points
+    at os.devnull, so the flush at shutdown has nowhere to fail (Python
+    docs, signal module, "Note on SIGPIPE").  gc.freeze() runs on every
+    way out, SystemExit included: the collections at interpreter shutdown
+    skip every object alive at that point, and the operating system
+    reclaims the memory.  atexit handlers and the stdio flush still run.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

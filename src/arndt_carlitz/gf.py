@@ -22,7 +22,8 @@ with coefficient functions
 
     alpha(z,u) = 1/(1-z) * sum_{k>=1} z^(2k+1)*u / (1 - z^(2k)*u)
                            / prod_{l=1}^{k-1} (1 - z^(2l-1)*u),
-    beta(z,u)  = - sum_{k>=1} z^(2k-1)*u / prod_{l=1}^{k} (1 - z^(2l-1)*u).
+    beta(z,u)  = - sum_{k>=1} z^(2k-1)*u / prod_{l=1}^{k} (1 - z^(2l-1)*u)
+               = 1 - prod_{l>=1} 1/(1 - z^(2l-1)*u)     (the sum telescopes).
 
 Specializing u to 1 and to z gives a 2x2 linear system for F(z,1) and
 F(z,z).  Both specializations are written once, as u = z^s with the
@@ -114,17 +115,19 @@ def beta_series(variant: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """beta(z,1) (variant "one") or beta(z,z) (variant "z"), truncated.
 
     beta(z,z^s) = - sum_k z^(2k-1+s) / prod_{l=1}^{k} (1-z^(2l-1+s))
+                = 1 - prod_{l>=1} 1/(1-z^(2l-1+s)),
 
-    Valuation of the k-th term: m = 2k-1+s.  All coefficients <= 0.
+    because with P(k) = prod_{l=1}^{k} (1-z^(2l-1+s)) the k-th term is
+    z^(2k-1+s)/P(k) = 1/P(k) - 1/P(k-1) and the sum telescopes.  So
+    -beta(z,1) counts the partitions of n >= 1 into odd parts and
+    -beta(z,z) those into even parts.  All coefficients <= 0.
     """
     s = _variant_shift(variant)
     _validate_order(order)
-    total = [0] * (order + 1)
     prod = [1] + [0] * order
     for m in range(1 + s, order + 1, 2):
         _divide_one_minus(prod, m)
-        total[m:] = map(add, total[m:], prod)
-    return TruncatedSeries([-c for c in total])
+    return TruncatedSeries([0] + [-c for c in prod[1:]])
 
 
 @lru_cache(maxsize=64)

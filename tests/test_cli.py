@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -12,7 +13,15 @@ from arndt_carlitz.asymptotics import (
     DomainError,
     PrecisionError,
 )
-from arndt_carlitz.cli import EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_PRECISION, EXIT_USAGE, main
+from arndt_carlitz.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_CAP,
+    EXIT_MISMATCH,
+    EXIT_OK,
+    EXIT_PRECISION,
+    EXIT_USAGE,
+    main,
+)
 from arndt_carlitz.series import TruncatedSeries
 
 
@@ -434,3 +443,63 @@ def test_unrelated_exception_is_not_mapped_to_exit_five(monkeypatch):
     with pytest.raises(RuntimeError) as exc:
         main(["series", "--order", "8"])
     assert exc.value is boom
+
+
+# --------------------------------------------------------- process entry
+
+def run_python(*argv, unbuffered=True, stdout=subprocess.PIPE):
+    # a fresh interpreter on the tree under test, PYTHONUNBUFFERED set or cleared
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, *argv], env=env, stdout=stdout, stderr=subprocess.PIPE,
+        text=True, timeout=120,
+    )
+
+
+def test_in_process_main_freezes_nothing(capsys):
+    # only the process entry run() freezes: a long-lived caller of main
+    # keeps ordinary garbage collection
+    before = gc.get_freeze_count()
+    assert run(capsys, "count", "--n", "8") == (EXIT_OK, "n=8 even=7 odd=9 total=16\n", "")
+    assert gc.get_freeze_count() == before
+
+
+_ATEXIT_PROBE = """
+import atexit, runpy, sys
+atexit.register(lambda: print("atexit ran", file=sys.stderr))
+sys.argv = ["arndt-carlitz", "count", "--n", "8"]
+runpy.run_module("arndt_carlitz.cli", run_name="__main__")
+"""
+
+
+def test_process_exit_still_runs_atexit_handlers():
+    done = run_python("-c", _ATEXIT_PROBE)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        EXIT_OK, "n=8 even=7 odd=9 total=16\n", "atexit ran\n"
+    )
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["count", "--n", "8"], EXIT_OK),
+    (["asymptotics", "--digits", "0"], EXIT_USAGE),  # argparse's SystemExit
+    (["count", "--n", "31", "--method", "brute"], EXIT_CAP),
+])
+def test_process_exit_codes(argv, code):
+    assert run_python("-m", "arndt_carlitz.cli", *argv).returncode == code
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_output_pipe_exits_one_silently(unbuffered):
+    # unbuffered, the write inside the command fails; buffered, the output
+    # fits the buffer and the flush in run() fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = run_python("-m", "arndt_carlitz.cli", "count", "--n", "8",
+                          unbuffered=unbuffered, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (EXIT_BROKEN_PIPE, "")

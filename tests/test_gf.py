@@ -79,6 +79,27 @@ def test_beta_is_nonpositive():
         assert all(c <= 0 for c in beta_series(variant, 40).coeffs)
 
 
+def test_beta_counts_classical_partitions():
+    # beta(z,z^s) = 1 - prod_l 1/(1 - z^(2l-1+s)): -beta(z,1) counts the
+    # partitions of n >= 1 into odd parts, which by Euler are as many as
+    # those into distinct parts (OEIS A000009); -beta(z,z) counts the
+    # partitions into even parts, p(n/2) for even n
+    order = 60
+    distinct = [1] + [0] * order
+    unrestricted = [1] + [0] * order
+    for part in range(1, order + 1):
+        for n in range(order, part - 1, -1):
+            distinct[n] += distinct[n - part]
+        for n in range(part, order + 1):
+            unrestricted[n] += unrestricted[n - part]
+    assert distinct[:11] == [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10]
+    assert unrestricted[:11] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+    assert [-c for c in beta_series("one", order).coeffs] == [0] + distinct[1:]
+    assert [-c for c in beta_series("z", order).coeffs] == [0] + [
+        0 if n % 2 else unrestricted[n // 2] for n in range(1, order + 1)
+    ]
+
+
 def test_variant_validation():
     with pytest.raises(ValueError):
         alpha_series("u", 5)
