@@ -34,18 +34,6 @@ CAP_ENV_VAR = "ARNDT_CARLITZ_CAP"
 # upper bound of `asymptotics --digits`: 1000 digits take about 1 s (2-core machine)
 MAX_DIGITS = 1000
 
-# low-order reference coefficients (independently certified by enumeration)
-_GOLDEN_EVEN = (0, 0, 0, 1, 1, 2, 3, 5, 7, 12, 20, 30)
-_GOLDEN_ODD = (0, 1, 1, 1, 1, 2, 4, 5, 9, 15, 22, 36)
-_GOLDEN_LISTINGS = {
-    (7, "even"): {(6, 1), (5, 2), (4, 3), (3, 1, 2, 1), (2, 1, 3, 1)},
-    (8, "even"): {(7, 1), (6, 2), (5, 3), (3, 1, 3, 1), (2, 1, 4, 1),
-                  (2, 1, 3, 2), (4, 1, 2, 1)},
-    (8, "odd"): {(8,), (2, 1, 5), (3, 1, 4), (3, 2, 3), (4, 1, 3),
-                 (5, 1, 2), (5, 2, 1), (4, 3, 1), (2, 1, 2, 1, 2)},
-}
-
-
 class UsageError(ValueError):
     """Bad argument combination detected after parsing."""
 
@@ -159,68 +147,12 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from . import gf
-
-    if args.order is None:  # gf's default order: the parser does not load gf
-        args.order = gf.DEFAULT_ORDER
     cap = _brute_cap()
     if args.max_n > cap:
         raise UsageError(f"--max-n {args.max_n} exceeds the brute-force cap {cap}")
-    failures = 0
+    from . import _verify
 
-    def report(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        if ok:
-            print(f"ok: {name}")
-        else:
-            failures += 1
-            print(f"FAIL: {name}{': ' + detail if detail else ''}")
-
-    golden = gf.series_bundle(11)
-    for parity, expected in (("even", _GOLDEN_EVEN), ("odd", _GOLDEN_ODD)):
-        got = getattr(golden, parity).coeffs
-        report(f"golden {parity} series z^0..z^11", got == expected, f"got {list(got)}")
-    for (n, parity), expected in _GOLDEN_LISTINGS.items():
-        got = set(compositions.list_arndt_carlitz(n, parity, cap))
-        report(f"golden listing n={n} parity={parity}", got == expected, f"got {sorted(got)}")
-
-    closed = gf.series_bundle(args.max_n)
-    sliced = gf.slice_bundle(args.max_n)
-    all_match = True
-    mismatch_detail = ""
-    for n in range(1, args.max_n + 1):
-        brute = compositions.count_brute_force(n, cap)
-        for name, bundle in (("gf", closed), ("slice", sliced)):
-            got = _bundle_counts(bundle, n)
-            if got != brute:
-                all_match = False
-                mismatch_detail = f"n={n} {name}={tuple(got)} brute={tuple(brute)}"
-    report(f"counts n=1..{args.max_n} (brute vs gf vs slice)", all_match, mismatch_detail)
-
-    if args.order >= 24:
-        from mpmath import mp, mpf
-
-        total = gf.total_series(args.order)
-        samples = (args.order // 4, args.order // 2, 3 * args.order // 4)
-        with mp.workdps(35):
-            growth = 1 / asymptotics.find_rho(20)
-            errs = [
-                abs(mpf(total.coefficient(n + 1)) / total.coefficient(n) - growth)
-                for n in samples
-            ]
-        report(
-            f"growth-ratio convergence at n={samples}",
-            errs[0] > errs[1] > errs[2],
-            f"errors {[mp.nstr(e, 4) for e in errs]}",
-        )
-    else:
-        print(f"skipped: growth-ratio convergence (needs --order >= 24, got {args.order})")
-
-    if failures:
-        print(f"verify: FAIL ({failures} check(s) failed)")
-        return EXIT_MISMATCH
-    print("verify: PASS")
-    return EXIT_OK
+    return EXIT_MISMATCH if _verify.run_checks(args.max_n, args.order, cap) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -29,12 +29,29 @@ Specializing u to 1 and to z gives a 2x2 linear system for F(z,1) and
 F(z,z).  Both specializations are written once, as u = z^s with the
 exponent shift s = 0 (variant "one") or s = 1 (variant "z"); every factor
 of the k-sums is then some 1/(1 - z^m), applied in place on an int list.
-The system is solved by
+alpha is summed by Horner's rule from the largest m = 2k+s down,
+
+    alpha(z,z^s) = z/(1-z) * (T_1 + f_1*(T_2 + f_2*(T_3 + ...))),
+    T_k = z^m/(1-z^m),  f_l = 1/(1 - z^(2l-1+s)),
+
+so each k costs one pass over the list.  The products of beta are
+partition generating functions: with Euler's function
+E(z) = prod_{l>=1} (1-z^l) = sum over k in Z of (-1)^k z^(k(3k-1)/2)
+(the pentagonal number theorem; Andrews, The Theory of Partitions, 1976,
+ch. 1), which has about 2*sqrt(2N/3) nonzero terms below z^N,
+
+    1 - beta(z,1) = E(z^2)/E(z),        1 - beta(z,z) = 1/E(z^2),
+
+each one division by a sparse series.  The system is solved by
 
     F(z,1) = Num(z) / D(z),        F(z,z) = alpha(z,z) / D(z),
-    Num    = alpha(z,1) + alpha(z,z)*beta(z,1) - alpha(z,1)*beta(z,z),
+    Num    = alpha(z,1) + alpha(z,z)*beta(z,1) - alpha(z,1)*beta(z,z)
+           = alpha(z,1)*(1 - beta(z,z)) + alpha(z,z)*beta(z,1),
     D      = 1 - alpha(z,1) - beta(z,z) + beta(z,z)*alpha(z,1)
-               - alpha(z,z)*beta(z,1).
+               - alpha(z,z)*beta(z,1)  =  (1 - beta(z,z)) - Num,
+
+where alpha(z,1)*(1 - beta(z,z)) = alpha(z,1)/E(z^2) is a sparse
+division, which leaves one dense product.
 
 F(z,1) counts the even-part compositions.  Odd-part compositions arise
 from the even ones by attaching one extra part different from the last
@@ -44,7 +61,13 @@ from the even ones by attaching one extra part different from the last
 
 F(z,z) being exactly the correction for the forbidden repeat of the last
 part (each even-part composition contributes z^(n + last part), which the
-brute-force oracle confirms).
+brute-force oracle confirms).  Since D = (1 - beta(z,z)) - Num,
+
+    1 + F(z,1) = (1 - beta(z,z)) / D,
+    odd        = (z/(1-z)*(1 - beta(z,z)) - alpha(z,z)) / D,
+
+so the odd series alone, and the total Num/D + odd, take one division
+by D each.
 
 Two independent computation paths are provided, both on int lists: the
 closed forms above (production path) and direct iteration of the slice
@@ -57,9 +80,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import add, sub
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .series import BivariateTruncatedSeries, TruncatedSeries
+from .series import TruncatedSeries
+
+if TYPE_CHECKING:
+    from ._bivariate import BivariateTruncatedSeries
 
 VARIANTS = ("one", "z")
 
@@ -89,6 +115,28 @@ def _divide_one_minus(c: list, m: int) -> list:
     return c
 
 
+def _times_z_over_one_minus_z(c: list) -> TruncatedSeries:
+    """z/(1-z) * c, at the order of the coefficient list c (overwritten)."""
+    return TruncatedSeries([0] + _divide_one_minus(c, 1)[:-1])
+
+
+@lru_cache(maxsize=64)
+def _euler(step: int, order: int) -> TruncatedSeries:
+    """E(z^step) = prod_{l>=1} (1 - z^(step*l)) by the pentagonal theorem.
+
+    E(z) = 1 + sum_{k>=1} (-1)^k (z^(k(3k-1)/2) + z^(k(3k+1)/2)).
+    """
+    c = [0] * (order + 1)
+    c[0] = 1
+    k = 1
+    while step * k * (3 * k - 1) // 2 <= order:
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if step * g <= order:
+                c[step * g] = -1 if k % 2 else 1
+        k += 1
+    return TruncatedSeries(c)
+
+
 @lru_cache(maxsize=64)
 def alpha_series(variant: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """alpha(z,1) (variant "one") or alpha(z,z) (variant "z"), truncated.
@@ -96,18 +144,23 @@ def alpha_series(variant: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     alpha(z,z^s) = z/(1-z) * sum_k z^(2k+s)/(1-z^(2k+s)) / prod_{l<k}(1-z^(2l-1+s))
 
     With m = 2k+s the k-th summand starts at z^(m+1), so the sum stops at
-    m = order - 1.  The sum is kept below z^order, all that the factor z
-    leaves, so of the k-th quotient only its first order - m terms count.
+    m = order - 1, and it is kept below z^order, all that the factor z
+    leaves.  Horner's rule from the largest m down: add z^m/(1-z^m) (a 1
+    at every multiple of m), then divide by 1 - z^(m-3), the factor that
+    the (k-1)-th term shares with all above it.  The running sum then has
+    valuation m, so the division starts at z^(m + m-3).
     """
     s = _variant_shift(variant)
     _validate_order(order)
-    total = [0] * order
-    prod = [1] + [0] * order
-    for m in range(2 + s, order, 2):
+    c = [0] * order
+    for m in reversed(range(2 + s, order, 2)):
+        for i in range(m, order, m):
+            c[i] += 1
         if m > 2 + s:
-            _divide_one_minus(prod, m - 3)
-        total[m:] = map(add, total[m:], _divide_one_minus(prod[: order - m], m))
-    return TruncatedSeries([0] + _divide_one_minus(total, 1))
+            f = m - 3
+            for i in range(m + f, order):
+                c[i] += c[i - f]
+    return TruncatedSeries([0] + _divide_one_minus(c, 1))
 
 
 @lru_cache(maxsize=64)
@@ -120,24 +173,29 @@ def beta_series(variant: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     because with P(k) = prod_{l=1}^{k} (1-z^(2l-1+s)) the k-th term is
     z^(2k-1+s)/P(k) = 1/P(k) - 1/P(k-1) and the sum telescopes.  So
     -beta(z,1) counts the partitions of n >= 1 into odd parts and
-    -beta(z,z) those into even parts.  All coefficients <= 0.
+    -beta(z,z) those into even parts.  All coefficients <= 0.  The odd
+    parts' product is E(z^2)/E(z), the even parts' 1/E(z^2).
     """
     s = _variant_shift(variant)
     _validate_order(order)
-    prod = [1] + [0] * order
-    for m in range(1 + s, order + 1, 2):
-        _divide_one_minus(prod, m)
-    return TruncatedSeries([0] + [-c for c in prod[1:]])
+    if s == 0:
+        partitions = _euler(2, order) / _euler(1, order)
+    else:
+        partitions = TruncatedSeries.one(order) / _euler(2, order)
+    return TruncatedSeries([0] + [-c for c in partitions.coeffs[1:]])
 
 
 @lru_cache(maxsize=64)
 def numerator_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Num = alpha(z,1) + alpha(z,z)*beta(z,1) - alpha(z,1)*beta(z,z)."""
+    """Num = alpha(z,1) + alpha(z,z)*beta(z,1) - alpha(z,1)*beta(z,z).
+
+    Computed as alpha(z,1)/E(z^2) + alpha(z,z)*beta(z,1), because
+    1 - beta(z,z) = 1/E(z^2): one sparse division and one dense product.
+    """
     a1 = alpha_series("one", order)
     az = alpha_series("z", order)
     b1 = beta_series("one", order)
-    bz = beta_series("z", order)
-    return a1 + az * b1 - a1 * bz
+    return a1 / _euler(2, order) + az * b1
 
 
 @lru_cache(maxsize=64)
@@ -193,8 +251,7 @@ def _bundle(even: TruncatedSeries, fzz: TruncatedSeries) -> SeriesBundle:
     """
     c = list(even.coeffs)
     c[0] += 1
-    attached = TruncatedSeries([0] + _divide_one_minus(c, 1)[: even.order])
-    odd = _require_counting_series(attached - fzz, "odd")
+    odd = _require_counting_series(_times_z_over_one_minus_z(c) - fzz, "odd")
     return SeriesBundle(even=even, fzz=fzz, odd=odd, total=even + odd, order=even.order)
 
 
@@ -203,16 +260,24 @@ def series_bundle(order: int = DEFAULT_ORDER) -> SeriesBundle:
     return _bundle(even_series(order), fzz_series(order))
 
 
+def _odd_numerator(order: int) -> TruncatedSeries:
+    """z/(1-z) * (1 - beta(z,z)) - alpha(z,z), the odd series times D."""
+    c = [1] + [-b for b in beta_series("z", order).coeffs[1:]]
+    return _times_z_over_one_minus_z(c) - alpha_series("z", order)
+
+
 @lru_cache(maxsize=64)
 def odd_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Number of Arndt-Carlitz compositions of n with oddly many parts."""
-    return series_bundle(order).odd
+    s = _odd_numerator(order) / denominator_series(order)
+    return _require_counting_series(s, "odd_series")
 
 
 @lru_cache(maxsize=64)
 def total_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """All Arndt-Carlitz compositions of n, no parity restriction."""
-    return series_bundle(order).total
+    s = (numerator_series(order) + _odd_numerator(order)) / denominator_series(order)
+    return _require_counting_series(s, "total_series")
 
 
 def _add_slice_kernel(rows: list, f: list) -> list:
@@ -238,6 +303,8 @@ def slice_iteration_series(order: int = DEFAULT_ORDER) -> BivariateTruncatedSeri
     so a_k has z-valuation 3k and the loop ends once the truncated a_k
     vanishes.
     """
+    from ._bivariate import BivariateTruncatedSeries
+
     _validate_order(order)
     n = order
     a = _add_slice_kernel([[0] * (n + 1) for _ in range(n // 2 + 1)], [1] + [0] * n)

@@ -1,7 +1,9 @@
 """Truncated formal power series with exact rational coefficients.
 
 Two carriers: TruncatedSeries in z, and BivariateTruncatedSeries in (z, u)
-with u-substitution maps.  All arithmetic is exact: every coefficient is
+with u-substitution maps.  The bivariate one serves only the slice path,
+so it is defined in the private module _bivariate, loaded on first use,
+and resolves here by name.  All arithmetic is exact: every coefficient is
 stored in canonical form, an int when it is integral and a
 fractions.Fraction otherwise, so integer series stay in int arithmetic
 throughout (fractions is imported only once a non-int value, or a divisor
@@ -12,11 +14,17 @@ share across threads and to cache.
 Truncation convention: a series of order N stores coefficients of
 z^0 .. z^N inclusive; every operation truncates its result back to order N.
 Binary operations on different orders normalize to the smaller order.
+
+A product is one convolution per coefficient, c_k = sum(map(mul, a[:k+1],
+b_rev[n-k:])) with b reversed, so the inner loop runs in C for int and
+Fraction coefficients alike; a quotient is long division over the
+nonzero terms of the divisor only.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Union
+from operator import mul
+from typing import TYPE_CHECKING, Iterable, Union
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -53,7 +61,9 @@ class TruncatedSeries:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        cs = tuple(map(_frac, coeffs))
+        cs = tuple(coeffs)
+        if set(map(type, cs)) - {int}:  # plain ints are canonical already
+            cs = tuple(map(_frac, cs))
         if not cs:
             raise ValueError("a truncated series needs at least the z^0 coefficient")
         self._coeffs = cs
@@ -138,15 +148,11 @@ class TruncatedSeries:
             s = _frac(other)
             return TruncatedSeries([c * s for c in self._coeffs])
         n = self._common_order(other)
-        out = [0] * (n + 1)
-        for i, a in enumerate(self._coeffs[: n + 1]):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other._coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(out)
+        a = self._coeffs[: n + 1]
+        b = other._coeffs[n::-1]  # reversed, so b[n - k:] is b_k, ..., b_0
+        return TruncatedSeries(
+            [sum(map(mul, a[: k + 1], b[n - k:])) for k in range(n + 1)]
+        )
 
     __rmul__ = __mul__
 
@@ -231,154 +237,11 @@ class TruncatedSeries:
         return f"TruncatedSeries({[str(c) for c in self._coeffs]})"
 
 
-class BivariateTruncatedSeries:
-    """Series in z and u, truncated at order N in each variable separately.
+def __getattr__(name: str):
+    # the bivariate carrier serves only the slice path, so it lives in
+    # _bivariate and is compiled on first use (PEP 562)
+    if name == "BivariateTruncatedSeries":
+        from ._bivariate import BivariateTruncatedSeries
 
-    Sparse representation: only nonzero (z-power, u-power) -> coefficient
-    entries are stored.  u is an auxiliary marker (it records the value of
-    the last part in the slice recurrence), so there is a substitution map
-    back into univariate series for u -> 1 and u -> z.
-    """
-
-    __slots__ = ("_coeffs", "_order")
-
-    def __init__(self, coeffs: dict[tuple[int, int], Scalar], order: int):
-        if order < 0:
-            raise ValueError(f"order must be nonnegative, got {order}")
-        store: dict[tuple[int, int], Scalar] = {}
-        for (p, q), v in coeffs.items():
-            if p < 0 or q < 0:
-                raise ValueError(f"negative exponent pair ({p}, {q})")
-            if p > order or q > order:
-                continue
-            fv = _frac(v)
-            if fv:
-                store[(p, q)] = fv
-        self._coeffs = store
-        self._order = order
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, order: int) -> "BivariateTruncatedSeries":
-        return cls({}, order)
-
-    @classmethod
-    def monomial(
-        cls, zpow: int, upow: int, order: int, coeff: Scalar = 1
-    ) -> "BivariateTruncatedSeries":
-        return cls({(zpow, upow): coeff}, order)
-
-    @classmethod
-    def geometric_zu(cls, step: int, order: int) -> "BivariateTruncatedSeries":
-        """1/(1 - z^step * u) = sum_j z^(step*j) u^j."""
-        if step < 1:
-            raise ValueError(f"step must be >= 1, got {step}")
-        d = {}
-        j = 0
-        while step * j <= order and j <= order:
-            d[(step * j, j)] = 1
-            j += 1
-        return cls(d, order)
-
-    # -- accessors ---------------------------------------------------------
-
-    @property
-    def order(self) -> int:
-        return self._order
-
-    def coefficient(self, zpow: int, upow: int) -> Scalar:
-        return self._coeffs.get((zpow, upow), 0)
-
-    def terms(self) -> Iterator[tuple[int, int, Scalar]]:
-        """Nonzero terms as (z-power, u-power, coefficient), sorted."""
-        for (p, q) in sorted(self._coeffs):
-            yield p, q, self._coeffs[(p, q)]
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _require_same_order(self, other: "BivariateTruncatedSeries") -> None:
-        if self._order != other._order:
-            raise ValueError(
-                f"bivariate order mismatch: {self._order} vs {other._order}"
-            )
-
-    def __add__(self, other: "BivariateTruncatedSeries") -> "BivariateTruncatedSeries":
-        if not isinstance(other, BivariateTruncatedSeries):
-            return NotImplemented
-        self._require_same_order(other)
-        out = dict(self._coeffs)
-        for k, v in other._coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return BivariateTruncatedSeries(out, self._order)
-
-    def __sub__(self, other: "BivariateTruncatedSeries") -> "BivariateTruncatedSeries":
-        if not isinstance(other, BivariateTruncatedSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "BivariateTruncatedSeries":
-        return BivariateTruncatedSeries(
-            {k: -v for k, v in self._coeffs.items()}, self._order
-        )
-
-    def __mul__(self, other: "BivariateTruncatedSeries") -> "BivariateTruncatedSeries":
-        if not isinstance(other, BivariateTruncatedSeries):
-            return NotImplemented
-        self._require_same_order(other)
-        n = self._order
-        out: dict[tuple[int, int], Scalar] = {}
-        for (p1, q1), v1 in self._coeffs.items():
-            for (p2, q2), v2 in other._coeffs.items():
-                p, q = p1 + p2, q1 + q2
-                if p <= n and q <= n:
-                    key = (p, q)
-                    out[key] = out.get(key, 0) + v1 * v2
-        return BivariateTruncatedSeries(out, n)
-
-    def mul_univariate(self, s: TruncatedSeries) -> "BivariateTruncatedSeries":
-        """Multiply by a series in z alone."""
-        n = self._order
-        out: dict[tuple[int, int], Scalar] = {}
-        for (p1, q1), v1 in self._coeffs.items():
-            for i in range(min(s.order, n - p1) + 1):
-                c = s.coeffs[i]
-                if c:
-                    key = (p1 + i, q1)
-                    out[key] = out.get(key, 0) + v1 * c
-        return BivariateTruncatedSeries(out, n)
-
-    # -- substitution ------------------------------------------------------
-
-    def substitute_u(self, mode: str) -> TruncatedSeries:
-        """Substitute u = z^s for the marker, giving a series in z.
-
-        mode "one":  u -> 1 (s = 0).
-        mode "z":    u -> z (s = 1; terms past the order drop).
-        """
-        s = {"one": 0, "z": 1}.get(mode)
-        if s is None:
-            raise ValueError(f"mode must be 'one' or 'z', got {mode!r}")
-        n = self._order
-        out = [0] * (n + 1)
-        for (p, q), v in self._coeffs.items():
-            if p + s * q <= n:
-                out[p + s * q] += v
-        return TruncatedSeries(out)
-
-    # -- dunder plumbing -----------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BivariateTruncatedSeries):
-            return NotImplemented
-        return self._order == other._order and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash((self._order, frozenset(self._coeffs.items())))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"z^{p}*u^{q}: {v}" for p, q, v in self.terms())
-        return f"BivariateTruncatedSeries({{{inner}}}, order={self._order})"
+        return BivariateTruncatedSeries
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -381,6 +381,9 @@ NUMERIC_MODULES = ("arndt_carlitz._pole", "mpmath", "logging")
 # series, and fractions only once a non-integer coefficient shows up
 EXACT_MODULES = ("arndt_carlitz.gf", "arndt_carlitz.series", "fractions")
 
+# code that only the slice path and verify run, each in its own module
+PRIVATE_MODULES = ("arndt_carlitz._bivariate", "arndt_carlitz._verify")
+
 # runs each argv through cli.main in one fresh interpreter and prints, per
 # call, its exit code and which of the given modules are loaded after it
 _PROBE = """
@@ -404,16 +407,20 @@ def probe_modules(*argvs, modules=NUMERIC_MODULES):
 
 
 def test_exact_commands_never_load_the_numeric_layer():
-    formats = ("plain", "json", "csv", "bfile")
-    argvs = [["series", "--order", "40", "--format", fmt] for fmt in formats]
+    argvs = [["series", "--order", "40", "--parity", parity, "--format", fmt]
+             for parity in ("all", "even", "odd")
+             for fmt in ("plain", "json", "csv", "bfile")]
     argvs += [["count", "--n", "12", "--method", m] for m in ("gf", "slice")]
     # the package's records are NamedTuples: dataclasses stays unloaded too;
-    # the counting series are integral, so fractions does as well
-    modules = NUMERIC_MODULES + ("dataclasses", "fractions")
-    assert probe_modules(*argvs, modules=modules) == [[EXIT_OK, []]] * len(argvs)
+    # the counting series are integral, so fractions does as well; the
+    # bivariate carrier loads with the slice path, the last call
+    modules = NUMERIC_MODULES + PRIVATE_MODULES + ("dataclasses", "fractions")
+    assert probe_modules(*argvs, modules=modules) == (
+        [[EXIT_OK, []]] * (len(argvs) - 1) + [[EXIT_OK, ["arndt_carlitz._bivariate"]]]
+    )
     # brute force and listing build no series: one process without gf
     argvs = [["count", "--n", "12", "--method", "brute"], ["list", "--n", "8"]]
-    modules = NUMERIC_MODULES + EXACT_MODULES + ("dataclasses",)
+    modules = NUMERIC_MODULES + EXACT_MODULES + PRIVATE_MODULES + ("dataclasses",)
     assert probe_modules(*argvs, modules=modules) == [[EXIT_OK, []]] * len(argvs)
 
 
@@ -422,13 +429,26 @@ def test_exact_commands_never_load_the_numeric_layer():
 )
 def test_numeric_commands_load_the_numeric_layer(argv):
     # asymptotics runs on the int core alone, from argv to stdout, and prints
-    # with its nstr; verify checks the series and reads rho from the public
-    # mpf find_rho
+    # with its nstr; verify checks the series, the slice path among them,
+    # and reads rho from the public mpf find_rho
     loaded = {"asymptotics": ["arndt_carlitz._pole"],
               "verify": ["arndt_carlitz._pole", "mpmath",
-                         "arndt_carlitz.gf", "arndt_carlitz.series"]}[argv[0]]
-    modules = NUMERIC_MODULES + EXACT_MODULES
+                         "arndt_carlitz.gf", "arndt_carlitz.series",
+                         "arndt_carlitz._bivariate", "arndt_carlitz._verify"]}[argv[0]]
+    modules = NUMERIC_MODULES + EXACT_MODULES + PRIVATE_MODULES
     assert probe_modules(argv, modules=modules) == [[EXIT_OK, loaded]]
+
+
+def test_verify_as_main_module_imports_the_cli_only_once():
+    # under `python -m` the CLI runs as __main__: an import of
+    # arndt_carlitz.cli would compile it again, with a second UsageError
+    done = run_python("-X", "importtime", "-m", "arndt_carlitz.cli",
+                      "verify", "--max-n", "8", "--order", "24")
+    assert done.returncode == EXIT_OK
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in done.stderr.splitlines() if line.startswith("import time:")}
+    assert "arndt_carlitz._verify" in imported
+    assert "arndt_carlitz.cli" not in imported
 
 
 def test_unrelated_exception_is_not_mapped_to_exit_five(monkeypatch):

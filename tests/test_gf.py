@@ -6,7 +6,9 @@ from arndt_carlitz import gf
 from arndt_carlitz.compositions import (
     count_brute_force,
     enumerate_compositions,
+    is_arndt,
     is_arndt_carlitz,
+    is_carlitz,
 )
 from arndt_carlitz.gf import (
     SeriesConsistencyError,
@@ -241,6 +243,77 @@ def test_three_paths_agree_to_26():
             got = (bundle.even.coefficient(n), bundle.odd.coefficient(n),
                    bundle.total.coefficient(n))
             assert got == brute, f"n={n}"
+
+
+def transfer_matrix_counts(order: int, arndt: bool = True, carlitz: bool = True):
+    """(even, odd) counts of the compositions of n = 0..order, by a DP.
+
+    The state is (sum, last part, parity of the number of parts).  A part
+    in an even position ends a pair: with the pair rule (arndt) it is
+    below the last part, else with the neighbour rule (carlitz) it only
+    differs from it.  A part in an odd position starts a pair and must
+    differ from the last part under the neighbour rule.  Suffix sums over
+    the last part make it O(order^2) additions.  It uses no generating
+    function, so it shares no identity with the closed forms.  The empty
+    composition (last part 0) starts the walk and is not counted.
+    """
+    size = order + 2
+    even = [[0] * size for _ in range(order + 1)]  # even[t][j]: sum t, last part j
+    odd = [[0] * size for _ in range(order + 1)]
+    even[0][0] = 1
+    even_total, odd_total, odd_suffix = [1], [0], [[0] * (size + 1)]
+    for s in range(1, order + 1):
+        for x in range(1, s + 1):
+            t = s - x
+            odd[s][x] = even_total[t] - (even[t][x] if carlitz else 0)
+            if arndt:
+                even[s][x] = odd_suffix[t][x + 1]
+            else:
+                even[s][x] = odd_total[t] - (odd[t][x] if carlitz else 0)
+        suffix = [0] * (size + 1)
+        for j in range(s, 0, -1):
+            suffix[j] = suffix[j + 1] + odd[s][j]
+        odd_suffix.append(suffix)
+        odd_total.append(suffix[1])
+        even_total.append(sum(even[s]))
+    return [0] + even_total[1:], odd_total
+
+
+def test_transfer_matrix_dp_equals_closed_forms_to_500():
+    order = 500
+    even, odd = transfer_matrix_counts(order)
+    bundle = series_bundle(order)
+    assert list(bundle.even.coeffs) == even
+    assert list(bundle.odd.coeffs) == odd
+
+
+@pytest.mark.parametrize(
+    "arndt, carlitz, rule",
+    [(True, True, is_arndt_carlitz), (True, False, is_arndt),
+     (False, True, is_carlitz), (False, False, lambda parts: True)],
+)
+def test_transfer_matrix_dp_rules_against_enumeration(arndt, carlitz, rule):
+    # each rule switched off in turn, anchored to the filtered enumeration
+    order = 15
+    even, odd = transfer_matrix_counts(order, arndt, carlitz)
+    for n in range(1, order + 1):
+        kept = [c for c in enumerate_compositions(n) if rule(c)]
+        assert even[n] == sum(len(c) % 2 == 0 for c in kept), n
+        assert odd[n] == sum(len(c) % 2 == 1 for c in kept), n
+    totals = [e + o for e, o in zip(even, odd)][1:11]
+    if (arndt, carlitz) == (True, False):  # Arndt compositions: Fibonacci
+        assert totals == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
+    if (arndt, carlitz) == (False, True):  # Carlitz compositions: OEIS A003242
+        assert totals == [1, 1, 3, 4, 7, 14, 23, 39, 71, 124]
+
+
+def test_one_division_odd_and_total_match_the_bundle():
+    # odd_series and total_series divide (1 - beta(z,z)) forms by D once;
+    # the bundle attaches a part to F(z,1) and subtracts F(z,z)
+    for order in range(301):
+        bundle = series_bundle(order)
+        assert odd_series(order) == bundle.odd, order
+        assert total_series(order) == bundle.total, order
 
 
 def test_fzz_series_against_oracle():

@@ -42,6 +42,13 @@ def test_mul_difference_of_squares():
     one_plus = TruncatedSeries.from_coeffs([1, 1], 3)
     one_minus = TruncatedSeries.from_coeffs([1, -1], 3)
     assert one_plus * one_minus == TruncatedSeries([1, 0, -1, 0])
+    # sparse times dense, Fraction coefficients, zero constant term:
+    # z/2 * (1/3 + 2z - 3/4 z^2 + 5z^3) = z/6 + z^2 - 3/8 z^3 (order 3)
+    sparse = TruncatedSeries([0, Fraction(1, 2), 0, 0])
+    dense = TruncatedSeries([Fraction(1, 3), 2, Fraction(-3, 4), 5])
+    for product in (sparse * dense, dense * sparse):
+        assert product.coeffs == (0, Fraction(1, 6), 1, Fraction(-3, 8))
+        assert [type(c) for c in product.coeffs] == [int, Fraction, int, Fraction]
 
 
 def test_mul_telescopes_to_truncated_one():
