@@ -40,16 +40,6 @@ class BivariateTruncatedSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int) -> "BivariateTruncatedSeries":
-        return cls({}, order)
-
-    @classmethod
-    def monomial(
-        cls, zpow: int, upow: int, order: int, coeff: Scalar = 1
-    ) -> "BivariateTruncatedSeries":
-        return cls({(zpow, upow): coeff}, order)
-
-    @classmethod
     def geometric_zu(cls, step: int, order: int) -> "BivariateTruncatedSeries":
         """1/(1 - z^step * u) = sum_j z^(step*j) u^j."""
         if step < 1:
@@ -67,16 +57,10 @@ class BivariateTruncatedSeries:
     def order(self) -> int:
         return self._order
 
-    def coefficient(self, zpow: int, upow: int) -> Scalar:
-        return self._coeffs.get((zpow, upow), 0)
-
     def terms(self) -> Iterator[tuple[int, int, Scalar]]:
         """Nonzero terms as (z-power, u-power, coefficient), sorted."""
         for (p, q) in sorted(self._coeffs):
             yield p, q, self._coeffs[(p, q)]
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     # -- arithmetic --------------------------------------------------------
 
@@ -98,12 +82,11 @@ class BivariateTruncatedSeries:
     def __sub__(self, other: "BivariateTruncatedSeries") -> "BivariateTruncatedSeries":
         if not isinstance(other, BivariateTruncatedSeries):
             return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "BivariateTruncatedSeries":
-        return BivariateTruncatedSeries(
-            {k: -v for k, v in self._coeffs.items()}, self._order
-        )
+        self._require_same_order(other)
+        out = dict(self._coeffs)
+        for k, v in other._coeffs.items():
+            out[k] = out.get(k, 0) - v
+        return BivariateTruncatedSeries(out, self._order)
 
     def __mul__(self, other: "BivariateTruncatedSeries") -> "BivariateTruncatedSeries":
         if not isinstance(other, BivariateTruncatedSeries):

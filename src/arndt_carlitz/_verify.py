@@ -19,6 +19,7 @@ _GOLDEN_LISTINGS = {
     (8, "odd"): {(8,), (2, 1, 5), (3, 1, 4), (3, 2, 3), (4, 1, 3),
                  (5, 1, 2), (5, 2, 1), (4, 3, 1), (2, 1, 2, 1, 2)},
 }
+LISTING_MAX_N = max(n for n, _parity in _GOLDEN_LISTINGS)
 
 
 def run_checks(max_n: int, order: int | None, cap: int) -> int:

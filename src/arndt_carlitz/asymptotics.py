@@ -14,20 +14,21 @@ All evaluation here is numeric but precision-controlled: Python ints in
 fixed point (an int n stands for n/2^w) at a number of bits set by the
 requested decimal digits (never ambient global state), with the infinite
 k-sums cut only once their geometric tail is provably below tolerance.
-As in the gf module, u = z^s with s = 0 (variant "one") or s = 1
-(variant "z") selects alpha(x,1)/beta(x,1) or alpha(x,x)/beta(x,x).  One
-pass over k (`_pole.ksums`) sums all four k-sums and their
-x-derivatives together, so D, Num and the analytic D' come from a single
-evaluation.  The truncated exact series from the gf module double as an
-independent cross-check for every evaluator.
+As in the gf module, u = z^s: index s = 0 of the k-sums is
+alpha(x,1)/beta(x,1) and s = 1 is alpha(x,x)/beta(x,x).  One pass over k
+(`_pole.ksums`) sums all four k-sums and their x-derivatives together,
+so D, Num and the analytic D' come from a single evaluation.  The
+truncated exact series from the gf module are an independent cross-check
+of that pass; `denominator_derivative_via_series` is one.
 
-mpf appears only at the public boundary: `find_rho`, `amplitudes`, the
-`eval_*` functions and `denominator_derivative` import mpmath and convert
-with mpf((n, -w)) around the int core in the private module `_pole`,
-which loads on first use.  The `asymptotics` command calls that core and
-prints with its `nstr`, so it loads no mpmath; this module never imports
-logging (see `_debug`).  gf and fractions are imported only by the
-functions that use them, so that command runs on ints from argv to stdout.
+mpf appears only at the public boundary: `find_rho`, `amplitudes`,
+`eval_denominator` and the two D' functions import mpmath and convert with
+mpf((n, -w)) around the int core in the private module `_pole`, which
+loads on first use.  The `asymptotics` command calls that core and prints
+with its `nstr`, so it loads no mpmath; this module never imports logging
+(see `_debug`).  gf is imported only by
+`denominator_derivative_via_series` and fractions only by `_ksums`, so
+that command runs on ints from argv to stdout.
 """
 
 from __future__ import annotations
@@ -127,30 +128,9 @@ def _ksums(x, tol=None, dps: int = DEFAULT_DPS):
         return sums._make((*map(real, sums[:8]), sums.terms, sums.wp))
 
 
-def eval_alpha(x, variant: str = "one", tol=None, dps: int = DEFAULT_DPS) -> mpf:
-    """alpha(z,1) or alpha(z,z) at a real point of (0, 1), tail below tol."""
-    from .gf import _variant_shift
-
-    s = _variant_shift(variant)
-    return _ksums(x, tol, dps).alpha[s]
-
-
-def eval_beta(x, variant: str = "one", tol=None, dps: int = DEFAULT_DPS) -> mpf:
-    """beta(z,1) or beta(z,z) at a real point of (0, 1); negative there."""
-    from .gf import _variant_shift
-
-    s = _variant_shift(variant)
-    return _ksums(x, tol, dps).beta[s]
-
-
 def eval_denominator(x, tol=None, dps: int = DEFAULT_DPS) -> mpf:
     """D(x), assembled from the four k-sums (error budget ~5*tol)."""
     return _ksums(x, tol, dps).denominator
-
-
-def eval_numerator(x, tol=None, dps: int = DEFAULT_DPS) -> mpf:
-    """Num(x) = alpha(x,1) + alpha(x,x)*beta(x,1) - alpha(x,1)*beta(x,x)."""
-    return _ksums(x, tol, dps).numerator
 
 
 def find_rho(digits: int = 20, bracket=DEFAULT_BRACKET) -> mpf:

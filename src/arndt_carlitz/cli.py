@@ -68,28 +68,26 @@ def _bounded_int(low: int, high: int | None = None):
     return parse
 
 
-def _bundle_counts(bundle: gf.SeriesBundle, n: int) -> compositions.ParityCounts:
-    even, odd = bundle.even.coefficient(n), bundle.odd.coefficient(n)
-    return compositions.ParityCounts(even, odd, even + odd)
-
-
-def _counts_for(n: int, method: str) -> compositions.ParityCounts:
+def _counts_for(n: int, method: str, parities: tuple[str, ...]) -> dict[str, int]:
+    """The number of compositions of n with each parity in `parities`."""
     if method == "brute":
-        return compositions.count_brute_force(n, _brute_cap())
+        counts = compositions.count_brute_force(n, _brute_cap())
+        return {p: getattr(counts, p) for p in parities}
     from . import gf
 
-    return _bundle_counts(gf.series_bundle(n) if method == "gf" else gf.slice_bundle(n), n)
+    if method == "slice":
+        bundle = gf.slice_bundle(n)
+        return {p: getattr(bundle, p).coefficient(n) for p in parities}
+    # one division by D per parity: neither F(z,z) nor the bundle is needed
+    series = {"even": gf.even_series, "odd": gf.odd_series}
+    return {p: series[p](n).coefficient(n) for p in parities}
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    if args.method == "gf" and args.parity == "even":
-        from . import gf
-
-        # F(z,1) alone: the bundle would also divide out F(z,z) for odd and total
-        shown = {"even": gf.even_series(args.n).coefficient(args.n)}
-    else:
-        fields = _counts_for(args.n, args.method)._asdict()
-        shown = fields if args.parity == "all" else {args.parity: fields[args.parity]}
+    every = args.parity == "all"
+    shown = _counts_for(args.n, args.method, ("even", "odd") if every else (args.parity,))
+    if every:
+        shown["total"] = shown["even"] + shown["odd"]
     parts = [f"n={args.n}"] + [f"{k}={v}" for k, v in shown.items()]
     print(" ".join(parts))
     return EXIT_OK
@@ -152,6 +150,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(f"--max-n {args.max_n} exceeds the brute-force cap {cap}")
     from . import _verify
 
+    if _verify.LISTING_MAX_N > cap:  # checked before the first line prints
+        raise UsageError(
+            f"the golden listings enumerate n={_verify.LISTING_MAX_N}, "
+            f"which exceeds the brute-force cap {cap}"
+        )
     return EXIT_MISMATCH if _verify.run_checks(args.max_n, args.order, cap) else EXIT_OK
 
 

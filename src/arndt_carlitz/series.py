@@ -1,15 +1,16 @@
 """Truncated formal power series with exact rational coefficients.
 
 Two carriers: TruncatedSeries in z, and BivariateTruncatedSeries in (z, u)
-with u-substitution maps.  The bivariate one serves only the slice path,
-so it is defined in the private module _bivariate, loaded on first use,
-and resolves here by name.  All arithmetic is exact: every coefficient is
-stored in canonical form, an int when it is integral and a
-fractions.Fraction otherwise, so integer series stay in int arithmetic
-throughout (fractions is imported only once a non-int value, or a divisor
-whose constant term is not +-1, shows up).  Nothing in this module ever
-rounds.  Values are immutable after construction, so they are safe to
-share across threads and to cache.
+with u-substitution maps, each with only the operations that the package,
+its acceptance tests and the benchmark tracer call.  The bivariate one
+serves only the slice path, so it is defined in the private module
+_bivariate, loaded on first use, and resolves here by name.  All
+arithmetic is exact: every coefficient is stored in canonical form, an int
+when it is integral and a fractions.Fraction otherwise, so integer series
+stay in int arithmetic throughout (fractions is imported only once a
+non-int value, or a divisor whose constant term is not +-1, shows up).
+Nothing in this module ever rounds.  Values are immutable after
+construction, so they are safe to share across threads and to cache.
 
 Truncation convention: a series of order N stores coefficients of
 z^0 .. z^N inclusive; every operation truncates its result back to order N.
@@ -71,13 +72,6 @@ class TruncatedSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_coeffs(cls, coeffs: Iterable[Scalar], order: int) -> "TruncatedSeries":
-        """Series with the given low-order coefficients, zero-padded to order."""
-        cs = list(coeffs)[: order + 1]
-        cs += [0] * (order + 1 - len(cs))
-        return cls(cs)
-
-    @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
         return cls([0] * (order + 1))
 
@@ -110,13 +104,6 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not any(self._coeffs)
 
-    def valuation(self) -> int | None:
-        """Exponent of the lowest nonzero term, or None for the zero series."""
-        for i, c in enumerate(self._coeffs):
-            if c:
-                return i
-        return None
-
     # -- arithmetic --------------------------------------------------------
 
     def _common_order(self, other: "TruncatedSeries") -> int:
@@ -137,9 +124,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             [self._coeffs[i] - other._coeffs[i] for i in range(n + 1)]
         )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self._coeffs])
 
     def __mul__(self, other: Union["TruncatedSeries", Scalar]) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
@@ -191,15 +175,6 @@ class TruncatedSeries:
         """Series b with self * b = 1 up to the truncation order."""
         return TruncatedSeries.one(self.order) / self
 
-    def shift(self, d: int) -> "TruncatedSeries":
-        """Multiply by z^d (terms pushed past the order fall off)."""
-        if d < 0:
-            raise ValueError(f"shift must be nonnegative, got {d}")
-        n = self.order
-        if d > n:
-            return TruncatedSeries.zero(n)
-        return TruncatedSeries([0] * d + list(self._coeffs[: n + 1 - d]))
-
     def truncate(self, order: int) -> "TruncatedSeries":
         if order < 0:
             raise ValueError(f"order must be nonnegative, got {order}")
@@ -214,14 +189,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             [i * self._coeffs[i] for i in range(1, self.order + 1)]
         )
-
-    def evaluate(self, x: Scalar) -> Scalar:
-        """Exact Horner evaluation of the truncated polynomial at rational x."""
-        xf = _frac(x)
-        acc = 0
-        for c in reversed(self._coeffs):
-            acc = acc * xf + c
-        return _frac(acc)
 
     # -- dunder plumbing -----------------------------------------------------
 

@@ -16,10 +16,7 @@ from arndt_carlitz.asymptotics import (
     asymptotic_count,
     denominator_derivative,
     denominator_derivative_via_series,
-    eval_alpha,
-    eval_beta,
     eval_denominator,
-    eval_numerator,
     find_rho,
 )
 from arndt_carlitz.gf import (
@@ -71,32 +68,39 @@ KSUM_TERMS = {
 }
 
 
+def exact_at(series, x: Fraction) -> mpf:
+    """The truncated series at rational x: exact Horner, then one rounding."""
+    acc = Fraction(0)
+    for c in reversed(series.coeffs):
+        acc = acc * x + c
+    return mpf(acc.numerator) / acc.denominator
+
+
 def test_eval_alpha_vanishes_at_origin():
-    assert eval_alpha(mpf("0.001"), "one", dps=30) < mpf("1e-8")
+    assert asymptotics._ksums(mpf("0.001"), dps=30).alpha[0] < mpf("1e-8")
 
 
 @pytest.mark.parametrize("variant", ["one", "z"])
 @pytest.mark.parametrize("x_str", ["0.1", "0.2", "0.3"])
 def test_evaluators_agree_with_exact_series(variant, x_str):
     # exact rational evaluation of the order-60 truncation; tail < 0.3^61
+    s = 0 if variant == "one" else 1
     x = Fraction(x_str)
     with mp.workdps(40):
         xv = mpf(x.numerator) / x.denominator
-        for maker, evaluator in (
-            (alpha_series, eval_alpha),
-            (beta_series, eval_beta),
+        sums = asymptotics._ksums(xv, tol=mpf("1e-35"), dps=35)
+        for maker, got in (
+            (alpha_series, sums.alpha[s]),
+            (beta_series, sums.beta[s]),
         ):
-            exact = maker(variant, 60).evaluate(x)
-            expected = mpf(exact.numerator) / exact.denominator
-            got = evaluator(xv, variant, tol=mpf("1e-35"), dps=35)
+            expected = exact_at(maker(variant, 60), x)
             assert abs(got - expected) < mpf("1e-20")
 
 
 def test_denominator_agrees_with_exact_series():
     x = Fraction(1, 4)
     with mp.workdps(40):
-        exact = denominator_series(60).evaluate(x)
-        expected = mpf(exact.numerator) / exact.denominator
+        expected = exact_at(denominator_series(60), x)
         got = eval_denominator(mpf("0.25"), tol=mpf("1e-35"), dps=35)
         assert abs(got - expected) < mpf("1e-25")
 
@@ -114,7 +118,7 @@ def test_order_500_series_certify_rho():
         assert abs(d_500) < mpf("1e-38")
         assert abs(d_500 - eval_denominator(rho, dps=80)) < mpf("1e-70")
         num_500 = at_rho(numerator_series(500))
-        assert abs(num_500 - eval_numerator(rho, dps=80)) < mpf("1e-70")
+        assert abs(num_500 - asymptotics._ksums(rho, dps=80).numerator) < mpf("1e-70")
 
 
 @pytest.mark.parametrize("x_str", list(KSUM_TERMS))
@@ -159,18 +163,19 @@ def test_ksums_fail_fast_next_to_one():
 @pytest.mark.parametrize("tol", [0, -1])
 def test_nonpositive_tol_is_rejected(tol):
     with pytest.raises(ValueError, match="tol must be > 0"):
-        eval_alpha(0.6, tol=tol)
+        asymptotics._ksums(0.6, tol=tol)
 
 
 def test_beta_is_negative():
     for x_str in ("0.1", "0.3", "0.6"):
-        assert eval_beta(mpf(x_str), "one", dps=25) < 0
-        assert eval_beta(mpf(x_str), "z", dps=25) < 0
+        beta = asymptotics._ksums(mpf(x_str), dps=25).beta
+        assert beta[0] < 0
+        assert beta[1] < 0
 
 
 def test_beta_behaves_like_minus_x_at_origin():
     x = mpf("0.001")
-    assert abs(eval_beta(x, "one", dps=25) + x) < mpf("1e-5")
+    assert abs(asymptotics._ksums(x, dps=25).beta[0] + x) < mpf("1e-5")
 
 
 def test_denominator_brackets_the_root():
@@ -190,11 +195,9 @@ def test_denominator_frozen_values():
 def test_domain_errors():
     for bad in ("1.2", "-0.5", "0", "1"):
         with pytest.raises(DomainError):
-            eval_alpha(mpf(bad), "one", dps=20)
+            asymptotics._ksums(mpf(bad), dps=20)
     with pytest.raises(DomainError):
         eval_denominator(mpf("2"), dps=20)
-    with pytest.raises(ValueError):
-        eval_alpha(mpf("0.5"), "both", dps=20)
 
 
 def test_find_rho_matches_certified_anchor():
@@ -366,8 +369,7 @@ def test_k_sum_derivatives_agree_with_exact_series(variant):
             (alpha_series, sums.dalpha[s]),
             (beta_series, sums.dbeta[s]),
         ):
-            exact = maker(variant, 60).derivative().evaluate(x)
-            assert abs(got - mpf(exact.numerator) / exact.denominator) < mpf("1e-25")
+            assert abs(got - exact_at(maker(variant, 60).derivative(), x)) < mpf("1e-25")
 
 
 def test_amplitudes_match_certified_anchors():

@@ -79,6 +79,21 @@ def test_count_parity_filter(capsys):
     assert out == "n=8 even=7\n"
 
 
+@pytest.mark.parametrize("parity, line", [
+    ("odd", "n=40 odd=26353213\n"),
+    ("all", "n=40 even=22146306 odd=26353213 total=48499519\n"),
+], ids=["odd", "all"])
+def test_count_gf_divides_once_per_parity(capsys, monkeypatch, parity, line):
+    # even_series and odd_series each divide by D once; F(z,z) and the
+    # bundle would add a division the printed counts do not need
+    def refuse(*args, **kwargs):
+        raise AssertionError("count --method gf built F(z,z) or the bundle")
+
+    monkeypatch.setattr(gf, "series_bundle", refuse)
+    monkeypatch.setattr(gf, "fzz_series", refuse)
+    assert run(capsys, "count", "--n", "40", "--parity", parity) == (EXIT_OK, line, "")
+
+
 def test_count_methods_agree(capsys):
     lines = set()
     for method in ("brute", "gf", "slice"):
@@ -278,6 +293,20 @@ def test_verify_max_n_above_cap_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--max-n", "40")
     assert code == EXIT_USAGE
     assert "cap" in err
+
+
+def test_verify_cap_below_the_golden_listings_is_usage_error(capsys, monkeypatch):
+    # the golden listings enumerate n = 8 whatever --max-n is, so a smaller
+    # cap is refused before the first line prints
+    monkeypatch.setenv(cli.CAP_ENV_VAR, "7")
+    assert run(capsys, "verify", "--max-n", "5") == (
+        EXIT_USAGE,
+        "",
+        "error: the golden listings enumerate n=8, which exceeds the brute-force cap 7\n",
+    )
+    monkeypatch.setenv(cli.CAP_ENV_VAR, "8")
+    code, out, _ = run(capsys, "verify", "--max-n", "5", "--order", "10")
+    assert code == EXIT_OK and out.endswith("verify: PASS\n")
 
 
 # -------------------------------------------------------- exit codes / env

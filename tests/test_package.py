@@ -33,7 +33,7 @@ ROOT_NAMES = {
 MODULE_NAMES = {
     "asymptotics": (
         "denominator_derivative", "denominator_derivative_via_series",
-        "eval_alpha", "eval_beta", "eval_denominator", "eval_numerator",
+        "eval_denominator",
     ),
     "compositions": (
         "Composition", "enumerate_compositions", "is_arndt", "is_arndt_carlitz",
