@@ -1,7 +1,7 @@
-"""The bivariate truncated series in (z, u) of the slice recurrence.
+"""A bivariate truncated series in (z, u), for library callers.
 
-Resolved as arndt_carlitz.series.BivariateTruncatedSeries too; it lives
-here so that the commands that never iterate slices do not compile it.
+Resolved as arndt_carlitz.series.BivariateTruncatedSeries too.  gf runs
+the slice recurrence on dense int rows, so no command loads this module.
 """
 
 from __future__ import annotations

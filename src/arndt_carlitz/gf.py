@@ -80,12 +80,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import add, sub
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .series import TruncatedSeries
-
-if TYPE_CHECKING:
-    from ._bivariate import BivariateTruncatedSeries
 
 VARIANTS = ("one", "z")
 
@@ -292,28 +289,34 @@ def _add_slice_kernel(rows: list, f: list) -> list:
     return rows
 
 
+def _substitute_u(rows, s: int) -> list:
+    """sum_q z^(s*q) * rows[q], dense rows in (z, u) at u = z^s (s = 0 or 1), truncated."""
+    if not s:
+        return [sum(col) for col in zip(*rows)]
+    out = [0] * len(rows[0])
+    for q, row in enumerate(rows):
+        out[q:] = map(add, out[q:], row)
+    return out
+
+
 @lru_cache(maxsize=16)
-def slice_iteration_series(order: int = DEFAULT_ORDER) -> BivariateTruncatedSeries:
+def slice_iteration_series(order: int = DEFAULT_ORDER) -> tuple[tuple[int, ...], ...]:
     """F(z,u) by direct iteration of the slice recurrence (cross-check path).
 
-    a_k is kept as dense int rows: a[q][p] is the coefficient of z^p*u^q,
-    q being the last part.  The smallest slice ending in q is (q+1, q), so
-    row q starts at z^(2q+1) and rows above order/2 are never stored.  Each
-    slice contributes at least z^3 (the smallest admissible pair is 2 > 1),
-    so a_k has z-valuation 3k and the loop ends once the truncated a_k
-    vanishes.
+    Returns dense int rows: rows[q][p], the coefficient of z^p*u^q, counts
+    the even-part compositions of p with last part q.  The smallest slice
+    ending in q is (q+1, q), so row q starts at z^(2q+1) and only the rows
+    q = 0..order//2 are stored (row 0 is zero).  Each slice contributes
+    at least z^3 (the smallest admissible pair is 2 > 1), so a_k has
+    z-valuation 3k and the loop ends once the truncated a_k vanishes.
     """
-    from ._bivariate import BivariateTruncatedSeries
-
     _validate_order(order)
     n = order
     a = _add_slice_kernel([[0] * (n + 1) for _ in range(n // 2 + 1)], [1] + [0] * n)
     total = [row[:] for row in a]
     while any(map(any, a)):
-        at_one = [sum(col) for col in zip(*a)]  # a_k(z,1)
-        at_z = [0] * (n + 1)                    # a_k(z,z)
-        for q, row in enumerate(a):
-            at_z[q:] = map(add, at_z[q:], row[: n + 1 - q])
+        at_one = _substitute_u(a, 0)  # a_k(z,1)
+        at_z = _substitute_u(a, 1)    # a_k(z,z)
         # (a_k(z, z^2*u) - zu*a_k(z,z)) / (1 - zu), one row after the other
         a = [[0] * (2 * q) + row[: n + 1 - 2 * q] for q, row in enumerate(a)]
         a[1][1:] = map(sub, a[1][1:], at_z[:n])
@@ -325,13 +328,12 @@ def slice_iteration_series(order: int = DEFAULT_ORDER) -> BivariateTruncatedSeri
             a.pop()
         for t, row in zip(total, a):
             t[:] = map(add, t, row)
-    terms = {(p, q): v for q, row in enumerate(total) for p, v in enumerate(row) if v}
-    return BivariateTruncatedSeries(terms, n)
+    return tuple(map(tuple, total))
 
 
 def slice_bundle(order: int = DEFAULT_ORDER) -> SeriesBundle:
     """Counting bundle computed from the slice recurrence (cross-check path)."""
-    f = slice_iteration_series(order)
-    even = _require_counting_series(f.substitute_u("one"), "slice even")
-    fzz = _require_counting_series(f.substitute_u("z"), "slice fzz")
+    rows = slice_iteration_series(order)
+    even = _require_counting_series(TruncatedSeries(_substitute_u(rows, 0)), "slice even")
+    fzz = _require_counting_series(TruncatedSeries(_substitute_u(rows, 1)), "slice fzz")
     return _bundle(even, fzz)

@@ -3,8 +3,9 @@
 Two carriers: TruncatedSeries in z, and BivariateTruncatedSeries in (z, u)
 with u-substitution maps, each with only the operations that the package,
 its acceptance tests and the benchmark tracer call.  The bivariate one
-serves only the slice path, so it is defined in the private module
-_bivariate, loaded on first use, and resolves here by name.  All
+serves library callers (the slice path runs on dense int rows), so it is
+defined in the private module _bivariate, loaded on first use, and
+resolves here by name.  All
 arithmetic is exact: every coefficient is stored in canonical form, an int
 when it is integral and a fractions.Fraction otherwise, so integer series
 stay in int arithmetic throughout (fractions is imported only once a
@@ -37,20 +38,13 @@ class NonInvertibleSeriesError(ZeroDivisionError):
     """Division by a series whose constant term is zero."""
 
 
-def _is_scalar(v: object) -> bool:
-    """True for an int or a Fraction; only a non-int imports fractions."""
-    if isinstance(v, int):
-        return True
-    from fractions import Fraction
-
-    return isinstance(v, Fraction)
-
-
 def _frac(v: Scalar) -> Scalar:
-    """Canonical exact coefficient: int when integral, else Fraction."""
+    """Canonical exact coefficient: int when integral, else Fraction (imported for a non-int)."""
     if isinstance(v, int):
         return int(v)
-    if _is_scalar(v):
+    from fractions import Fraction
+
+    if isinstance(v, Fraction):
         return v.numerator if v.denominator == 1 else v
     # floats are rejected outright: this module is the exact substrate
     raise TypeError(f"coefficients must be int or Fraction, got {type(v).__name__}")
@@ -125,20 +119,15 @@ class TruncatedSeries:
             [self._coeffs[i] - other._coeffs[i] for i in range(n + 1)]
         )
 
-    def __mul__(self, other: Union["TruncatedSeries", Scalar]) -> "TruncatedSeries":
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
-            if not _is_scalar(other):
-                return NotImplemented
-            s = _frac(other)
-            return TruncatedSeries([c * s for c in self._coeffs])
+            return NotImplemented
         n = self._common_order(other)
         a = self._coeffs[: n + 1]
         b = other._coeffs[n::-1]  # reversed, so b[n - k:] is b_k, ..., b_0
         return TruncatedSeries(
             [sum(map(mul, a[: k + 1], b[n - k:])) for k in range(n + 1)]
         )
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Series q with q * other = self up to the common order.
@@ -205,8 +194,8 @@ class TruncatedSeries:
 
 
 def __getattr__(name: str):
-    # the bivariate carrier serves only the slice path, so it lives in
-    # _bivariate and is compiled on first use (PEP 562)
+    # no command runs the bivariate carrier, so it lives in _bivariate
+    # and is compiled on first use (PEP 562)
     if name == "BivariateTruncatedSeries":
         from ._bivariate import BivariateTruncatedSeries
 

@@ -410,7 +410,7 @@ NUMERIC_MODULES = ("arndt_carlitz._pole", "mpmath", "logging")
 # series, and fractions only once a non-integer coefficient shows up
 EXACT_MODULES = ("arndt_carlitz.gf", "arndt_carlitz.series", "fractions")
 
-# code that only the slice path and verify run, each in its own module
+# the bivariate carrier, which no command runs, and the checks only verify runs
 PRIVATE_MODULES = ("arndt_carlitz._bivariate", "arndt_carlitz._verify")
 
 # runs each argv through cli.main in one fresh interpreter and prints, per
@@ -442,11 +442,9 @@ def test_exact_commands_never_load_the_numeric_layer():
     argvs += [["count", "--n", "12", "--method", m] for m in ("gf", "slice")]
     # the package's records are NamedTuples: dataclasses stays unloaded too;
     # the counting series are integral, so fractions does as well; the
-    # bivariate carrier loads with the slice path, the last call
+    # slice path runs on dense rows, without the bivariate carrier
     modules = NUMERIC_MODULES + PRIVATE_MODULES + ("dataclasses", "fractions")
-    assert probe_modules(*argvs, modules=modules) == (
-        [[EXIT_OK, []]] * (len(argvs) - 1) + [[EXIT_OK, ["arndt_carlitz._bivariate"]]]
-    )
+    assert probe_modules(*argvs, modules=modules) == [[EXIT_OK, []]] * len(argvs)
     # brute force and listing build no series: one process without gf
     argvs = [["count", "--n", "12", "--method", "brute"], ["list", "--n", "8"]]
     modules = NUMERIC_MODULES + EXACT_MODULES + PRIVATE_MODULES + ("dataclasses",)
@@ -463,7 +461,7 @@ def test_numeric_commands_load_the_numeric_layer(argv):
     loaded = {"asymptotics": ["arndt_carlitz._pole"],
               "verify": ["arndt_carlitz._pole", "mpmath",
                          "arndt_carlitz.gf", "arndt_carlitz.series",
-                         "arndt_carlitz._bivariate", "arndt_carlitz._verify"]}[argv[0]]
+                         "arndt_carlitz._verify"]}[argv[0]]
     modules = NUMERIC_MODULES + EXACT_MODULES + PRIVATE_MODULES
     assert probe_modules(argv, modules=modules) == [[EXIT_OK, loaded]]
 

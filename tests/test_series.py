@@ -62,11 +62,6 @@ def test_add_monomials():
     assert (s + TruncatedSeries.monomial(5, 5)).coeffs == (0, 0, 0, 1, 1, 1)
 
 
-def test_scalar_mul():
-    assert TruncatedSeries([1, 2]) * 3 == TruncatedSeries([3, 6])
-    assert Fraction(1, 2) * TruncatedSeries([2, 4]) == TruncatedSeries([1, 2])
-
-
 def test_reciprocal_geometric():
     assert TruncatedSeries([1, -1, 0, 0, 0]).reciprocal() == TruncatedSeries(
         [1, 1, 1, 1, 1]
