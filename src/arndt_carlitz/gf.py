@@ -74,6 +74,9 @@ closed forms above (production path) and direct iteration of the slice
 recurrence on dense rows (cross-check path, slower).  Their agreement,
 plus agreement with exhaustive enumeration, is the module's correctness
 argument.
+
+A function is memoised only when one command re-reads its value: _euler,
+alpha_series, beta_series, numerator_series and denominator_series.
 """
 
 from __future__ import annotations
@@ -215,14 +218,12 @@ def _require_counting_series(s: TruncatedSeries, name: str) -> TruncatedSeries:
     return s
 
 
-@lru_cache(maxsize=64)
 def even_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """F(z,1): number of Arndt-Carlitz compositions of n with evenly many parts."""
     s = numerator_series(order) / denominator_series(order)
     return _require_counting_series(s, "even_series")
 
 
-@lru_cache(maxsize=64)
 def fzz_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """F(z,z) = alpha(z,z)/D: even-part compositions weighted by z^(last part)."""
     s = alpha_series("z", order) / denominator_series(order)
@@ -263,14 +264,12 @@ def _odd_numerator(order: int) -> TruncatedSeries:
     return _times_z_over_one_minus_z(c) - alpha_series("z", order)
 
 
-@lru_cache(maxsize=64)
 def odd_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Number of Arndt-Carlitz compositions of n with oddly many parts."""
     s = _odd_numerator(order) / denominator_series(order)
     return _require_counting_series(s, "odd_series")
 
 
-@lru_cache(maxsize=64)
 def total_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """All Arndt-Carlitz compositions of n, no parity restriction."""
     s = (numerator_series(order) + _odd_numerator(order)) / denominator_series(order)
@@ -299,16 +298,16 @@ def _substitute_u(rows, s: int) -> list:
     return out
 
 
-@lru_cache(maxsize=16)
-def slice_iteration_series(order: int = DEFAULT_ORDER) -> tuple[tuple[int, ...], ...]:
+def slice_iteration_series(order: int = DEFAULT_ORDER) -> list[list[int]]:
     """F(z,u) by direct iteration of the slice recurrence (cross-check path).
 
-    Returns dense int rows: rows[q][p], the coefficient of z^p*u^q, counts
-    the even-part compositions of p with last part q.  The smallest slice
-    ending in q is (q+1, q), so row q starts at z^(2q+1) and only the rows
-    q = 0..order//2 are stored (row 0 is zero).  Each slice contributes
-    at least z^3 (the smallest admissible pair is 2 > 1), so a_k has
-    z-valuation 3k and the loop ends once the truncated a_k vanishes.
+    Returns dense int rows, a new list of lists on each call: rows[q][p],
+    the coefficient of z^p*u^q, counts the even-part compositions of p
+    with last part q.  The smallest slice ending in q is (q+1, q), so row
+    q starts at z^(2q+1) and only the rows q = 0..order//2 are stored
+    (row 0 is zero).  Each slice contributes at least z^3 (the smallest
+    admissible pair is 2 > 1), so a_k has z-valuation 3k and the loop
+    ends once the truncated a_k vanishes.
     """
     _validate_order(order)
     n = order
@@ -328,7 +327,7 @@ def slice_iteration_series(order: int = DEFAULT_ORDER) -> tuple[tuple[int, ...],
             a.pop()
         for t, row in zip(total, a):
             t[:] = map(add, t, row)
-    return tuple(map(tuple, total))
+    return total
 
 
 def slice_bundle(order: int = DEFAULT_ORDER) -> SeriesBundle:

@@ -31,27 +31,6 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-@pytest.fixture
-def clean_gf_caches():
-    # fault injection below corrupts inputs of cached gf functions; drop
-    # anything computed during the test so later tests see honest values
-    # (bind the real cached functions now, before the test patches them)
-    cached = (
-        gf.alpha_series,
-        gf.beta_series,
-        gf.numerator_series,
-        gf.denominator_series,
-        gf.even_series,
-        gf.fzz_series,
-        gf.odd_series,
-        gf.total_series,
-        gf.slice_iteration_series,
-    )
-    yield
-    for fn in cached:
-        fn.cache_clear()
-
-
 # ----------------------------------------------------------------- count
 
 
@@ -484,12 +463,38 @@ def test_unrelated_exception_is_not_mapped_to_exit_five(monkeypatch):
     def broken(order):
         raise boom
 
-    # `series --parity all` reads gf.total_series, which is cached: patch it
-    # rather than something it calls
+    # `series --parity all` reads gf.total_series: patch it rather than
+    # something it calls
     monkeypatch.setattr(gf, "total_series", broken)
     with pytest.raises(RuntimeError) as exc:
         main(["series", "--order", "8"])
     assert exc.value is boom
+
+
+# --------------------------------------------------------------- gf caches
+
+def test_every_gf_cache_is_reread_by_a_command(capsys):
+    # a gf function is memoised only when one command reads its value more
+    # than once: over one command of each shape that calls gf, with every
+    # cache cleared before each command, each cache returns a stored value
+    commands = [
+        *(["series", "--order", "160", "--parity", p] for p in ("all", "even", "odd")),
+        *(["count", "--n", "40", "--parity", p] for p in ("all", "even", "odd")),
+        ["count", "--n", "40", "--method", "slice"],
+        ["verify", "--max-n", "14", "--order", "60"],
+        ["verify", "--max-n", "16", "--order", "96"],
+        ["verify", "--max-n", "12", "--order", "12"],
+    ]
+    caches = {name: f for name, f in vars(gf).items() if hasattr(f, "cache_info")}
+    hits = dict.fromkeys(caches, 0)
+    for argv in commands:
+        for f in caches.values():
+            f.cache_clear()
+        assert run(capsys, *argv)[0] == EXIT_OK, argv
+        for name, f in caches.items():
+            hits[name] += f.cache_info().hits
+    never_hit = [name for name, n in hits.items() if not n]
+    assert not never_hit, never_hit
 
 
 # --------------------------------------------------------- process entry
