@@ -176,7 +176,7 @@ def ksums(n: int, w: int, dps: int, tol=None) -> KSums:
     """alpha(x,x^s), beta(x,x^s), s = 0, 1, and their x-derivatives at x = n/2^w.
 
     One pass; every value of the result is an int over 2^wp (see `KSums`).
-    tol (default 10^-(dps+5)) is read exactly, as tol.numerator/tol.denominator.
+    tol is an exact ratio (num, den), by default (1, 10^(dps+5)).
 
     With P_s(j) = prod_{l<=j} (1 - x^(2l-1+s)) the k-th terms are
 
@@ -186,12 +186,16 @@ def ksums(n: int, w: int, dps: int, tol=None) -> KSums:
     All four streams use only x^(2k-1), x^(2k), x^(2k+1) and the two
     reciprocals 1/(1-x^(2k)), 1/(1-x^(2k+1)) at step k, kept incrementally
     (1/(1-x^(2k+1)) is the next step's 1/(1-x^(2k-1))).  The derivative
-    rides along as a log-derivative: with t(m) = x^m/(1-x^m) and
-    H_s(j) = sum_{l<=j} m_l*t(m_l), m_l = 2l-1+s, one has
+    rides along as a log-derivative: with t(m) = x^m/(1-x^m) = 1/(1-x^m) - 1
+    and H_s(j) = sum_{l<=j} m_l*t(m_l), m_l = 2l-1+s, one has
     d log(1/P_s(j))/dx = H_s(j)/x, hence
 
-        x*A_s(k)' = A_s(k) * ((2k+s)*(1 + t(2k+s)) + H_s(k-1)),
+        x*A_s(k)' = A_s(k) * ((2k+s)/(1-x^(2k+s)) + H_s(k-1)),
         x*B_s(k)' = B_s(k) * ((2k-1+s) + H_s(k)).
+
+    Only alpha is summed: beta telescopes, B_s(k) = 1/P_s(k) - 1/P_s(k-1),
+    so after K steps beta = 1 - 1/P_s(K) and x*beta' = -H_s(K)/P_s(K),
+    both read off the running product and log-derivative.
 
     Stop rule: the value terms eventually decay at least like x^(2k), so the
     tail after a value term below tol*(1-x^2) is below tol.  A derivative
@@ -202,7 +206,7 @@ def ksums(n: int, w: int, dps: int, tol=None) -> KSums:
     tol*(1-x^2)^2 leaves a tail below tol.  The pass stops after two
     consecutive steps in which all four value terms and all four
     derivative terms beat their thresholds; the second is the defensive
-    extra evaluation.
+    extra evaluation.  Beta terms are formed only where the alpha terms pass.
 
     Fixed point: the pass runs on Python ints, an int n standing for
     n/2^wp; a product is a*b >> wp and a reciprocal is one*2^wp // (one - p).
@@ -214,23 +218,26 @@ def ksums(n: int, w: int, dps: int, tol=None) -> KSums:
         G = (pi^2/6) * x / ((1-x) * ln 2),
 
     because 1-x^j >= j*x^(j-1)*(1-x) bounds -ln(1-x^j) = sum_r x^(jr)/r by
-    sum_r x/(r^2*(1-x)) for every j.  Each operation, and the conversion of
-    x, rounds by at most one unit u = 2^-wp.  To first order the powers
-    then carry at most 6uL; the reciprocals 7uL^3 (relative 7uL^2, so the
-    k factors of 1/P_s 8kuL^2); the t(m) 14uL^3; the value terms
-    23KuL^3*2^G; the weights, at most 7KL, 70K^2*uL^3 (H_s adds up to k
-    values of t, each times m_l <= 2l); and each derivative term
-    232K^2*uL^4*2^G.  Each of the eight sums adds at most K terms, so with
+    sum_r x/(r^2*(1-x)) for every j (so m*t(m) <= L and H_s <= KL).  Each
+    operation, and the conversion of x, rounds by at most one unit
+    u = 2^-wp.  To first order the powers then carry at most 6uL; the
+    reciprocals and the t(m) 7uL^3 (relative 7uL^2, so the k factors of
+    1/P_s 8kuL^2); H_s 14K^2*uL^3 (k values of t, each times m_l <= 2l);
+    the alpha terms 16KuL^3*2^G, their weights (at most 4KL) 35K^2*uL^3
+    and their derivatives 100K^2*uL^4*2^G, so each of the two sums
+    100K^3*uL^4*2^G.  beta = 1 - 1/P_s(K), H_s(K)/P_s(K) and the beta
+    terms of the stop test err by at most 60K^2*uL^3*2^G.  So with
 
         wp = bits + G + 3*bitlen(K) + 4*log2(L) + 18,
 
     2^-bits <= the derivative threshold and bits >= the precision of dps
     plus 2*log2(1/x) (alpha ~ x^2 keeps its relative precision as x -> 0),
-    every term and every sum lies within 2^-10 of that threshold of its
+    every term, sum and product lies within 2^-10 of that threshold of its
     exact value: rounding moves neither the stop nor the digits.  alpha,
-    beta, Num, D and D' are assembled from the eight sums in the same ints,
-    each product and division rounded to nearest.  That adds a few units u,
-    times at most L^2/x, which the 4*log2(L) and 2*log2(1/x) in wp cover.
+    beta, Num, D and D' are assembled from the two sums and the two
+    products in the same ints, each product and division rounded to
+    nearest.  That adds a few units u, times at most L^2/x, which the
+    4*log2(L) and 2*log2(1/x) in wp cover.
 
     Fail fast: B_0(k) = x^(2k-1)/P_0(k) has the step ratio
     x^2/(1-x^(2k+1)), which falls with k, so B_0 is log-concave and its
@@ -239,7 +246,7 @@ def ksums(n: int, w: int, dps: int, tol=None) -> KSums:
     the pass can never stop, and it raises PrecisionError before it sizes
     wp (which grows like 1/(1-x)) or allocates anything at that width.
     """
-    tol_num, tol_den = (1, 10 ** (dps + 5)) if tol is None else (tol.numerator, tol.denominator)
+    tol_num, tol_den = (1, 10 ** (dps + 5)) if tol is None else tol
     gap = (1 << 2 * w) - n * n  # 1 - x^2 = gap/2^(2w); thresholds are exact (num, den)
     value_threshold = (tol_num * gap, tol_den << 2 * w)
     if _never_small(n, w, value_threshold):
@@ -260,11 +267,9 @@ def ksums(n: int, w: int, dps: int, tol=None) -> KSums:
     slope_cut = (slope_threshold[0] << wp) // slope_threshold[1]
     power = xf                   # x^(2k-1)
     inv_odd = one_squared // (one - xf)  # 1/(1-x^(2k-1))
-    t_odd = power * inv_odd >> wp  # t(2k-1)
     prod0 = prod1 = one          # 1/P_s(k-1)
     logd0 = logd1 = 0            # H_s(k-1)
-    sum_a0 = sum_a1 = sum_b0 = sum_b1 = 0
-    slope_a0 = slope_a1 = slope_b0 = slope_b1 = 0
+    sum_a0 = sum_a1 = slope_a0 = slope_a1 = 0
     small_run = 0
     k = 0
     while small_run < 2:
@@ -275,46 +280,40 @@ def ksums(n: int, w: int, dps: int, tol=None) -> KSums:
         p_next = power * xf2 >> wp
         inv_even = one_squared // (one - p_even)
         inv_next = one_squared // (one - p_next)
-        t_even = p_even * inv_even >> wp
-        t_next = p_next * inv_next >> wp
+        t_even, t_next = inv_even - one, inv_next - one  # t(2k), t(2k+1)
         # alpha: A_0 uses t(2k), A_1 uses t(2k+1); both over P_s(k-1)
         a_0 = t_even * prod0 >> wp
         a_1 = t_next * prod1 >> wp
-        da_0 = a_0 * (2 * k * (one + t_even) + logd0) >> wp
-        da_1 = a_1 * ((2 * k + 1) * (one + t_next) + logd1) >> wp
+        da_0 = a_0 * (2 * k * inv_even + logd0) >> wp
+        da_1 = a_1 * ((2 * k + 1) * inv_next + logd1) >> wp
         # P_s(k) = P_s(k-1) * (1 - x^(2k-1+s))
         prod0 = prod0 * inv_odd >> wp
         prod1 = prod1 * inv_even >> wp
-        logd0 += (2 * k - 1) * t_odd
+        logd0 += (2 * k - 1) * (inv_odd - one)
         logd1 += 2 * k * t_even
-        b_0 = power * prod0 >> wp
-        b_1 = p_even * prod1 >> wp
-        db_0 = b_0 * ((2 * k - 1) * one + logd0) >> wp
-        db_1 = b_1 * (2 * k * one + logd1) >> wp
         sum_a0 += a_0
         sum_a1 += a_1
-        sum_b0 += b_0
-        sum_b1 += b_1
         slope_a0 += da_0
         slope_a1 += da_1
-        slope_b0 += db_0
-        slope_b1 += db_1
-        small = (
-            max(a_0, a_1, b_0, b_1) < value_cut
-            and max(da_0, da_1, db_0, db_1) < slope_cut
-        )
+        small = max(a_0, a_1) < value_cut and max(da_0, da_1) < slope_cut
+        if small:  # the beta terms enter only the stop test
+            b_0 = power * prod0 >> wp
+            b_1 = p_even * prod1 >> wp
+            small = max(b_0, b_1) < value_cut and max(
+                b_0 * ((2 * k - 1) * one + logd0) >> wp, b_1 * (2 * k * one + logd1) >> wp
+            ) < slope_cut
         small_run = small_run + 1 if small else 0
-        power, inv_odd, t_odd = p_next, inv_next, t_next
-    # alpha = x/(1-x) * S, so alpha' = (S/(1-x) + x*S')/(1-x); beta' = -S'/x
+        power, inv_odd = p_next, inv_next
+    # alpha = x/(1-x) * S, so alpha' = (S/(1-x) + x*S')/(1-x); beta telescopes
     one_minus = one - xf
     alpha = (_div(xf * sum_a0, one_minus), _div(xf * sum_a1, one_minus))
     dalpha = tuple(
         _div((_div(total << wp, one_minus) + slope) << wp, one_minus)
         for total, slope in ((sum_a0, slope_a0), (sum_a1, slope_a1))
     )
-    dbeta = (-_div(slope_b0 << wp, xf), -_div(slope_b1 << wp, xf))
+    dbeta = (-_div(prod0 * logd0, xf), -_div(prod1 * logd1, xf))
     (a1, az), (db1, dbz), (da1, daz) = alpha, dbeta, dalpha
-    b1, bz = -sum_b0, -sum_b1
+    b1, bz = one - prod0, one - prod1
     numerator = a1 + _div(az * b1 - a1 * bz, one)
     dnumerator = da1 + _div(daz * b1 + az * db1 - da1 * bz - a1 * dbz, one)
     # D = 1 - alpha(x,1) - beta(x,x) + beta(x,x)*alpha(x,1) - alpha(x,x)*beta(x,1)

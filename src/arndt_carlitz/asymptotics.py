@@ -16,8 +16,9 @@ requested decimal digits (never ambient global state), with the infinite
 k-sums cut only once their geometric tail is provably below tolerance.
 As in the gf module, u = z^s: index s = 0 of the k-sums is
 alpha(x,1)/beta(x,1) and s = 1 is alpha(x,x)/beta(x,x).  One pass over k
-(`_pole.ksums`) sums all four k-sums and their x-derivatives together,
-so D, Num and the analytic D' come from a single evaluation.  The
+(`_pole.ksums`) sums both alpha k-sums and their x-derivatives and reads
+both beta values and derivatives off its running products, so D, Num and
+the analytic D' come from a single evaluation.  The
 truncated exact series from the gf module are an independent cross-check
 of that pass; `denominator_derivative_via_series` is one.
 
@@ -27,8 +28,8 @@ mpf((n, -w)) around the int core in the private module `_pole`, which
 loads on first use.  The `asymptotics` command calls that core and prints
 with its `nstr`, so it loads no mpmath; this module never imports logging
 (see `_debug`).  gf is imported only by
-`denominator_derivative_via_series` and fractions only by `_ksums`, so
-that command runs on ints from argv to stdout.
+`denominator_derivative_via_series`, and no function here imports
+fractions, so that command runs on ints from argv to stdout.
 """
 
 from __future__ import annotations
@@ -106,8 +107,6 @@ def _check_domain(x) -> mpf:
 
 def _ksums(x, tol=None, dps: int = DEFAULT_DPS):
     """`_pole.ksums` at a real x rounded to dps digits, every value an mpf at dps."""
-    from fractions import Fraction
-
     from mpmath import mp, mpf
 
     from . import _pole
@@ -119,7 +118,7 @@ def _ksums(x, tol=None, dps: int = DEFAULT_DPS):
             if not tolv > 0:
                 raise ValueError(f"tol must be > 0, got {tol}")
             t, tw = _dyadic(tolv)
-            tol = Fraction(t, 1 << tw)
+            tol = (t, 1 << tw)
         sums = _pole.ksums(n, w, dps, tol)
 
         def real(v):
@@ -129,7 +128,7 @@ def _ksums(x, tol=None, dps: int = DEFAULT_DPS):
 
 
 def eval_denominator(x, tol=None, dps: int = DEFAULT_DPS) -> mpf:
-    """D(x), assembled from the four k-sums (error budget ~5*tol)."""
+    """D(x), assembled from the alpha and beta k-sums (error budget ~5*tol)."""
     return _ksums(x, tol, dps).denominator
 
 

@@ -1,8 +1,8 @@
 """Command-line interface: counting, listing, series export, asymptotics, verify.
 
-Exit codes: 0 success, 1 output pipe closed early, 2 usage error,
-3 brute-force cap exceeded, 4 verification mismatch, 5 numeric/precision
-failure.
+Exit codes: 0 success, 1 output pipe closed early, 2 usage error (also
+an --n or --order too large to fit in memory), 3 brute-force cap
+exceeded, 4 verification mismatch, 5 numeric/precision failure.
 
 The process entry is `run`; `main` is the in-process entry for tests and
 library callers.
@@ -204,6 +204,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: not enough memory; use a smaller --n or --order", file=sys.stderr)
         return EXIT_USAGE
     except compositions.CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

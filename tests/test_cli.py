@@ -499,7 +499,7 @@ def test_every_gf_cache_is_reread_by_a_command(capsys):
 
 # --------------------------------------------------------- process entry
 
-def run_python(*argv, unbuffered=True, stdout=subprocess.PIPE):
+def run_python(*argv, unbuffered=True, stdout=subprocess.PIPE, preexec_fn=None):
     # a fresh interpreter on the tree under test, PYTHONUNBUFFERED set or cleared
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     env.pop("PYTHONUNBUFFERED", None)
@@ -507,7 +507,7 @@ def run_python(*argv, unbuffered=True, stdout=subprocess.PIPE):
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, *argv], env=env, stdout=stdout, stderr=subprocess.PIPE,
-        text=True, timeout=120,
+        text=True, timeout=120, preexec_fn=preexec_fn,
     )
 
 
@@ -541,6 +541,26 @@ def test_process_exit_still_runs_atexit_handlers():
 ])
 def test_process_exit_codes(argv, code):
     assert run_python("-m", "arndt_carlitz.cli", *argv).returncode == code
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--n", "1000000000000"],
+    ["count", "--n", "1000000000000", "--method", "slice"],
+    ["series", "--order", "1000000000000"],
+    ["verify", "--order", "1000000000000"],  # after its first lines
+])
+def test_size_beyond_memory_is_a_usage_error(argv):
+    # the child's address space is capped at 1 GiB, so the allocation
+    # fails at once instead of paging
+    resource = pytest.importorskip("resource")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = run_python("-m", "arndt_carlitz.cli", *argv, preexec_fn=cap_memory)
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])

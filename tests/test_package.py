@@ -142,15 +142,19 @@ def test_lazy_fraction_imports_work_in_a_fresh_interpreter():
     # every path that imports it on demand runs in a process that had not
     probe = """
 import sys
-from arndt_carlitz.asymptotics import find_rho
+from arndt_carlitz.asymptotics import eval_denominator, find_rho
 from arndt_carlitz.series import TruncatedSeries
 assert "fractions" not in sys.modules
 print(find_rho(20, ("1e-40", "0.70")))
+assert "fractions" not in sys.modules
+# an explicit tol reaches the int core as an exact (num, den) pair
+print(eval_denominator("0.25", tol="1e-30", dps=20))
 assert "fractions" not in sys.modules
 half = TruncatedSeries.one(3) / TruncatedSeries([2, 1, 0, 0])
 print(half.coeffs, type(half.coeffs[1]).__name__)
 """
     assert fresh(probe).splitlines() == [
         "0.627901008918481",
+        "1.04734797423889",
         "(Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8), Fraction(-1, 16)) Fraction",
     ]
