@@ -5,7 +5,8 @@ an --n or --order too large to fit in memory), 3 brute-force cap
 exceeded, 4 verification mismatch, 5 numeric/precision failure.
 
 The process entry is `run`; `main` is the in-process entry for tests and
-library callers.
+library callers.  Every command except verify writes its whole result to
+stdout at once; verify prints one line per check as it runs.
 
 The brute-force cap (default 30) can be overridden with the
 ARNDT_CARLITZ_CAP environment variable.
@@ -68,6 +69,12 @@ def _bounded_int(low: int, high: int | None = None):
     return parse
 
 
+def _write(lines: list[str]) -> int:
+    """Write the lines, each ended by a newline, to stdout in one call."""
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
+    return EXIT_OK
+
+
 def _counts_for(n: int, method: str, parities: tuple[str, ...]) -> dict[str, int]:
     """The number of compositions of n with each parity in `parities`."""
     if method == "brute":
@@ -89,8 +96,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if every:
         shown["total"] = shown["even"] + shown["odd"]
     parts = [f"n={args.n}"] + [f"{k}={v}" for k, v in shown.items()]
-    print(" ".join(parts))
-    return EXIT_OK
+    return _write([" ".join(parts)])
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
@@ -101,33 +107,23 @@ def _cmd_series(args: argparse.Namespace) -> int:
     series = {"even": gf.even_series, "odd": gf.odd_series, "all": gf.total_series}
     coeffs = series[args.parity](args.order).coeffs
     if args.format == "plain":
-        print(" ".join(str(c) for c in coeffs))
+        lines = [" ".join(str(c) for c in coeffs)]
     elif args.format == "json":
         import json
 
-        payload = {
-            "query": "series",
-            "parity": args.parity,
-            "method": "gf",
-            "order": args.order,
-            "coefficients": coeffs,
-        }
-        print(json.dumps(payload))
+        payload = {"query": "series", "parity": args.parity, "method": "gf",
+                   "order": args.order, "coefficients": coeffs}
+        lines = [json.dumps(payload)]
     elif args.format == "csv":
-        print("n,coefficient")
-        for n, c in enumerate(coeffs):
-            print(f"{n},{c}")
+        lines = ["n,coefficient", *(f"{n},{c}" for n, c in enumerate(coeffs))]
     else:  # bfile: "n a(n)" per line, starting at n=1
-        out = sys.stdout
-        for n in range(1, args.order + 1):
-            out.write(f"{n} {coeffs[n]}\n")
-    return EXIT_OK
+        lines = [f"{n} {coeffs[n]}" for n in range(1, args.order + 1)]
+    return _write(lines)
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    for c in compositions.list_arndt_carlitz(args.n, args.parity, _brute_cap()):
-        print("+".join(str(p) for p in c))
-    return EXIT_OK
+    found = compositions.list_arndt_carlitz(args.n, args.parity, _brute_cap())
+    return _write(["+".join(str(p) for p in c) for c in found])
 
 
 def _cmd_asymptotics(args: argparse.Namespace) -> int:
@@ -137,11 +133,11 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
     # extra internal digits so every displayed digit is converged
     internal = max(digits, 20) + 5
     values, wp = _pole.amplitudes(*_pole.find_rho(internal), internal)
-    for name, value in zip(("rho", "growth", "c_even", "c_odd", "c_total"), values):
-        print(f"{name} = {_pole.nstr(value, wp, digits)}")
-    print(f"growth (unrestricted compositions) = {asymptotics.UNRESTRICTED_GROWTH}")
-    print(f"growth (Carlitz compositions) = {asymptotics.CARLITZ_GROWTH}")
-    return EXIT_OK
+    names = ("rho", "growth", "c_even", "c_odd", "c_total")
+    lines = [f"{name} = {_pole.nstr(v, wp, digits)}" for name, v in zip(names, values)]
+    lines.append(f"growth (unrestricted compositions) = {asymptotics.UNRESTRICTED_GROWTH}")
+    lines.append(f"growth (Carlitz compositions) = {asymptotics.CARLITZ_GROWTH}")
+    return _write(lines)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import os
 import subprocess
@@ -497,6 +498,44 @@ def test_every_gf_cache_is_reread_by_a_command(capsys):
     assert not never_hit, never_hit
 
 
+# ------------------------------------------------- one write per result
+
+
+class RecordingRaw(io.RawIOBase):
+    """An unbuffered binary stream that records every write it is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return len(data)
+
+
+@pytest.mark.parametrize("argv", [
+    *(["series", "--order", order, "--format", fmt]
+      for order in ("40", "0") for fmt in ("plain", "json", "csv", "bfile")),
+    ["list", "--n", "8"],
+    ["list", "--n", "1", "--parity", "even"],  # empty
+    *(["count", "--n", "12", "--method", method] for method in ("brute", "gf", "slice")),
+    ["asymptotics", "--digits", "20"],
+], ids=" ".join)
+def test_each_result_is_written_once(capsys, monkeypatch, argv):
+    # stdout as -u (PYTHONUNBUFFERED) builds it: a write-through text layer
+    # straight over the raw file, so each write becomes a write(2) of its own
+    _, expected, _ = run(capsys, *argv)
+    raw = RecordingRaw()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8",
+                                                        write_through=True))
+    assert main(argv) == EXIT_OK
+    assert len(raw.writes) <= 1
+    assert b"".join(raw.writes).decode() == expected
+
+
 # --------------------------------------------------------- process entry
 
 def run_python(*argv, unbuffered=True, stdout=subprocess.PIPE, preexec_fn=None):
@@ -565,13 +604,17 @@ def test_size_beyond_memory_is_a_usage_error(argv):
 
 @pytest.mark.parametrize("unbuffered", [True, False])
 def test_closed_output_pipe_exits_one_silently(unbuffered):
-    # unbuffered, the write inside the command fails; buffered, the output
-    # fits the buffer and the flush in run() fails
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        done = run_python("-m", "arndt_carlitz.cli", "count", "--n", "8",
-                          unbuffered=unbuffered, stdout=write_end)
-    finally:
-        os.close(write_end)
-    assert (done.returncode, done.stderr) == (EXIT_BROKEN_PIPE, "")
+    # unbuffered, the write inside the command fails; buffered, a short
+    # result fits the buffer and the flush in run() fails, while the 173 KB
+    # of list --n 22 (more than a pipe holds) and the b-file go past the
+    # buffer and fail inside the command
+    for argv in (["count", "--n", "8"], ["list", "--n", "22"],
+                 ["series", "--order", "224", "--format", "bfile"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = run_python("-m", "arndt_carlitz.cli", *argv,
+                              unbuffered=unbuffered, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (EXIT_BROKEN_PIPE, ""), argv
