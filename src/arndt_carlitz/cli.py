@@ -70,8 +70,24 @@ def _bounded_int(low: int, high: int | None = None):
 
 
 def _write(lines: list[str]) -> int:
-    """Write the lines, each ended by a newline, to stdout in one call."""
-    sys.stdout.write("".join(f"{line}\n" for line in lines))
+    """Write the lines, each ended by a newline, to stdout in one call.
+
+    A raw (-u) stdout may take only part, as when the pipe's reader leaves
+    mid-write, and its text layer drops the count: the rest is written
+    again, so that a closed pipe raises BrokenPipeError.
+    """
+    text = "\n".join([*lines, ""])
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # a text-only stream such as io.StringIO
+        sys.stdout.write(text)
+        return EXIT_OK
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        written = out.write(data)
+        if written is None:  # a raw non-blocking stdout that is full
+            raise BlockingIOError("stdout is full")
+        data = data[written:]
     return EXIT_OK
 
 

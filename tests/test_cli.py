@@ -538,15 +538,20 @@ def test_each_result_is_written_once(capsys, monkeypatch, argv):
 
 # --------------------------------------------------------- process entry
 
-def run_python(*argv, unbuffered=True, stdout=subprocess.PIPE, preexec_fn=None):
-    # a fresh interpreter on the tree under test, PYTHONUNBUFFERED set or cleared
+def child_env(unbuffered=True):
+    # the environment of a fresh interpreter on the tree under test,
+    # PYTHONUNBUFFERED set or cleared
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def run_python(*argv, unbuffered=True, stdout=subprocess.PIPE, preexec_fn=None):
     return subprocess.run(
-        [sys.executable, *argv], env=env, stdout=stdout, stderr=subprocess.PIPE,
-        text=True, timeout=120, preexec_fn=preexec_fn,
+        [sys.executable, *argv], env=child_env(unbuffered), stdout=stdout,
+        stderr=subprocess.PIPE, text=True, timeout=120, preexec_fn=preexec_fn,
     )
 
 
@@ -604,10 +609,10 @@ def test_size_beyond_memory_is_a_usage_error(argv):
 
 @pytest.mark.parametrize("unbuffered", [True, False])
 def test_closed_output_pipe_exits_one_silently(unbuffered):
-    # unbuffered, the write inside the command fails; buffered, a short
-    # result fits the buffer and the flush in run() fails, while the 173 KB
-    # of list --n 22 (more than a pipe holds) and the b-file go past the
-    # buffer and fail inside the command
+    # the pipe is closed before the child starts.  Unbuffered, the write
+    # inside the command fails; buffered, a result that fits the 8 KiB
+    # buffer (count, and the 6 KB b-file) fails at the flush in run(),
+    # while the 173 KB of list --n 22 fails inside the command
     for argv in (["count", "--n", "8"], ["list", "--n", "22"],
                  ["series", "--order", "224", "--format", "bfile"]):
         read_end, write_end = os.pipe()
@@ -618,3 +623,24 @@ def test_closed_output_pipe_exits_one_silently(unbuffered):
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (EXIT_BROKEN_PIPE, ""), argv
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_reader_closing_mid_write_exits_one_silently(unbuffered):
+    # the reader takes one line, then closes the pipe while the child is
+    # still writing the 173 KB of list --n 22, more than a pipe holds: the
+    # short write that the closed pipe ends must not pass for a full one
+    child = subprocess.Popen(
+        [sys.executable, "-m", "arndt_carlitz.cli", "list", "--n", "22"],
+        env=child_env(unbuffered), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert child.stdout.readline() == b"2+1+2+1+2+1+2+1+2+1+2+1+3+1\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert (child.wait(timeout=120), err) == (EXIT_BROKEN_PIPE, b"")
+    finally:
+        child.kill()
+        child.wait()
+        child.stdout.close()
+        child.stderr.close()
