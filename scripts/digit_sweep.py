@@ -8,8 +8,9 @@ when
 
     diff <(PYTHONPATH=src python scripts/digit_sweep.py) scripts/asymptotics_digests.txt
 
-is empty.  A run takes about 5 minutes (2-core machine), so it is kept
-out of the test suite.
+is empty.  A run takes about 3 minutes (2-core machine), so it is kept
+out of the test suite, which checks nine of the committed lines
+(`tests/test_cli.py::test_asymptotics_matches_committed_digests`).
 """
 
 import contextlib

@@ -5,10 +5,11 @@ n/2^w: `ksums` is the fused pass over the k-sums, `find_rho` the
 safeguarded Newton iteration for the zero of D, `amplitudes` the residue
 constants, and `nstr` prints a value digit for digit as mpmath's nstr
 does.  The public mpf functions of `asymptotics` convert around this
-core, and the `asymptotics` command calls it directly, so that command
-loads no mpmath.  The module is imported on first use: commands that
-never reach the numeric layer do not load it.  Exact rationals are int
-pairs (num, den), and fractions is imported only to print an error message.
+core, and the `asymptotics` command calls it directly, without mpmath:
+`amplitudes` reads the pass that confirmed `find_rho`'s root.  The
+module is imported on first use: commands that never reach the numeric
+layer do not load it.  Exact rationals are int pairs (num, den), and
+fractions is imported only to print an error message.
 """
 
 from __future__ import annotations
@@ -340,8 +341,8 @@ def _ladder(working: int) -> list[int]:
     return rungs[::-1]
 
 
-def find_rho(digits: int, bracket=BRACKET) -> tuple[int, int]:
-    """(n, w) with the zero n/2^w of D in (0, 1), w the bits of digits + 15.
+def find_rho(digits: int, bracket=BRACKET) -> tuple[int, int, KSums]:
+    """(n, w, sums): the zero n/2^w of D in (0, 1) and the last pass, at digits + 15.
 
     Safeguarded Newton iteration on the analytic D' with precision
     doubling: the sign change is verified on the bracket at the first rung
@@ -354,7 +355,8 @@ def find_rho(digits: int, bracket=BRACKET) -> tuple[int, int]:
     the root stays enclosed.  The iteration stops once a step at full
     working precision is below 10^-(digits+8).  The bracket's ends are
     exact ratios (num, den) with den > 0; each must lie in (0, 1) and is
-    rounded to w bits, but never onto 0 or 1.
+    rounded to w bits (of digits + 15), but never onto 0 or 1.  sums is made
+    at the iterate before the final step, or at an endpoint that is a zero.
     """
     if digits < 10:
         raise ValueError(f"digits must be >= 10, got {digits}")
@@ -382,9 +384,9 @@ def find_rho(digits: int, bracket=BRACKET) -> tuple[int, int]:
     a, b = (min(max(_div(num << w, den), 1), (1 << w) - 1) for num, den in bracket)
     fa, fb = endpoint(a), endpoint(b)
     if not fa.denominator:
-        return a, w
+        return a, w, fa
     if not fb.denominator:
-        return b, w
+        return b, w, fb
     positive = fa.denominator > 0
     if positive == (fb.denominator > 0):
         raise BracketError(
@@ -432,20 +434,19 @@ def find_rho(digits: int, bracket=BRACKET) -> tuple[int, int]:
         digits, ladder, passes, newton_steps, bisection_steps, sums.terms,
         nstr(dx, w, 3),
     )
-    return x, w
+    return x, w, sums
 
 
-def amplitudes(n: int, w: int, digits: int) -> tuple[tuple[int, ...], int]:
-    """((rho, growth, c_even, c_odd, c_total), wp) at the root rho = n/2^w of D.
+def amplitudes(sums: KSums, digits: int) -> tuple[tuple[int, ...], int]:
+    """((rho, growth, c_even, c_odd, c_total), wp) at the root rho = sums.x of D.
 
     c_even = -Num(rho)/(rho*D'(rho)); the odd series z/(1-z)*(1+F(z,1)) -
     F(z,z) picks up rho/(1-rho)*c_even - c_fzz, with c_fzz the residue
     constant of F(z,z) = alpha(z,z)/D.  D, Num, alpha(rho,rho) and D' all
-    come from one pass over the k-sums, whose bits wp every value is
-    over.  A rho with |D(rho)| above 10^(-digits/2) raises DomainError.
+    come from `sums`, one pass at digits + 15 (`find_rho`'s last), whose
+    bits wp every value is over.  DomainError if |D(rho)| > 10^(-digits/2).
     """
     working = digits + GUARD_DIGITS
-    sums = ksums(n, w, working)
     wp, rho, slope = sums.wp, sums.x, sums.derivative
     residual = abs(sums.denominator)
     _debug(

@@ -18,18 +18,18 @@ As in the gf module, u = z^s: index s = 0 of the k-sums is
 alpha(x,1)/beta(x,1) and s = 1 is alpha(x,x)/beta(x,x).  One pass over k
 (`_pole.ksums`) sums both alpha k-sums and their x-derivatives and reads
 both beta values and derivatives off its running products, so D, Num and
-the analytic D' come from a single evaluation.  The
-truncated exact series from the gf module are an independent cross-check
-of that pass; `denominator_derivative_via_series` is one.
+the analytic D' come from a single evaluation.  The truncated exact series
+from the gf module are an independent cross-check of that pass;
+`denominator_derivative_via_series` is one.
 
 mpf appears only at the public boundary: `find_rho`, `amplitudes`,
 `eval_denominator` and the two D' functions import mpmath and convert with
 mpf((n, -w)) around the int core in the private module `_pole`, which
-loads on first use.  The `asymptotics` command calls that core and prints
-with its `nstr`, so it loads no mpmath; this module never imports logging
-(see `_debug`).  gf is imported only by
-`denominator_derivative_via_series`, and no function here imports
-fractions, so that command runs on ints from argv to stdout.
+loads on first use.  The `asymptotics` command calls that core alone: it
+takes the constants from the pass that confirmed `find_rho`'s root and
+prints with `nstr`.  This module never imports logging (see `_debug`), gf
+is imported only by `denominator_derivative_via_series`, and no function
+here imports fractions, so that command runs on ints from argv to stdout.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def find_rho(digits: int = 20, bracket=DEFAULT_BRACKET) -> mpf:
 
     with mp.workdps(digits + GUARD_DIGITS):
         ends = [(n, 1 << w) for n, w in (_dyadic(mpf(end)) for end in bracket)]
-        n, w = _pole.find_rho(digits, ends)
+        n, w, _ = _pole.find_rho(digits, ends)
         return mpf((n, -w))
 
 
@@ -170,17 +170,16 @@ def denominator_derivative_via_series(x, order: int = 250, dps: int = DEFAULT_DP
 def amplitudes(rho, digits: int = 20) -> AsymptoticEstimate:
     """Residue constants at the dominant pole rho (a verified root of D).
 
-    `_pole.amplitudes`, with rho read as an mpf at digits + 15.
+    `_pole.amplitudes` on one pass at rho, read as an mpf at digits + 15.
     """
     from mpmath import mp, mpf
 
     from . import _pole
 
     with mp.workdps(digits + GUARD_DIGITS):
-        values, wp = _pole.amplitudes(*_dyadic(_check_domain(rho)), digits)
-        return AsymptoticEstimate(
-            *(mpf((v, -wp)) for v in values), precision_digits=digits
-        )
+        sums = _pole.ksums(*_dyadic(_check_domain(rho)), digits + GUARD_DIGITS)
+        values, wp = _pole.amplitudes(sums, digits)
+        return AsymptoticEstimate(*(mpf((v, -wp)) for v in values), precision_digits=digits)
 
 
 def asymptotic_count(n: int, est: AsymptoticEstimate, parity: str = "total") -> mpf:

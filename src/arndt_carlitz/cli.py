@@ -148,7 +148,7 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
     digits = args.digits
     # extra internal digits so every displayed digit is converged
     internal = max(digits, 20) + 5
-    values, wp = _pole.amplitudes(*_pole.find_rho(internal), internal)
+    values, wp = _pole.amplitudes(_pole.find_rho(internal)[2], internal)
     names = ("rho", "growth", "c_even", "c_odd", "c_total")
     lines = [f"{name} = {_pole.nstr(v, wp, digits)}" for name, v in zip(names, values)]
     lines.append(f"growth (unrestricted compositions) = {asymptotics.UNRESTRICTED_GROWTH}")

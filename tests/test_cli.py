@@ -1,14 +1,17 @@
 import gc
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from arndt_carlitz import _pole, cli, gf
 from arndt_carlitz.asymptotics import (
+    GUARD_DIGITS,
     BracketError,
     DegeneratePoleError,
     DomainError,
@@ -236,13 +239,44 @@ def test_asymptotics_precision_failure_exit(capsys, monkeypatch):
 
 
 def test_asymptotics_non_root_exit(capsys, monkeypatch):
-    # the int core that the command calls, returning rho = 1/2^1
-    monkeypatch.setattr(_pole, "find_rho", lambda *args, **kwargs: (1, 1))
+    # the int core that the command calls, returning rho = 1/2^1 with a real
+    # pass there at the working digits
+    def not_a_root(digits, *args, **kwargs):
+        return 1, 1, _pole.ksums(1, 1, digits + GUARD_DIGITS)
+
+    monkeypatch.setattr(_pole, "find_rho", not_a_root)
     code, out, err = run(capsys, "asymptotics")
     assert code == EXIT_PRECISION
     assert out == ""
     assert err.startswith("error: ") and "is not a root of D" in err
     assert err.count("\n") == 1
+
+
+def test_asymptotics_makes_no_pass_beyond_find_rho(capsys, monkeypatch):
+    # the constants are read off the pass that confirmed the root
+    real, calls = _pole.ksums, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_pole, "ksums", counting)
+    _pole.find_rho(55)  # the command's internal digits at --digits 50
+    alone = len(calls)
+    code, _, _ = run(capsys, "asymptotics", "--digits", "50")
+    assert code == EXIT_OK
+    assert len(calls) == 2 * alone
+
+
+def test_asymptotics_matches_committed_digests(capsys):
+    # scripts/digit_sweep.py checks every --digits against this file; these
+    # span the ladder's shapes and the benchmark's range
+    path = Path(__file__).resolve().parents[1] / "scripts" / "asymptotics_digests.txt"
+    committed = dict(line.split() for line in path.read_text().splitlines())
+    for digits in ("1", "5", "20", "27", "50", "73", "80", "111", "300"):
+        code, out, _ = run(capsys, "asymptotics", "--digits", digits)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == committed[digits], digits
 
 
 # ----------------------------------------------------------------- verify

@@ -475,7 +475,7 @@ def test_slice_matches_closed_form():
 
 
 def test_slice_bundle_matches_series_bundle():
-    # 256: the highest order the benchmark exports
+    # 256: above the highest order the benchmark exports, 224
     for order in (16, 256):
         a = slice_bundle(order)
         b = series_bundle(order)
