@@ -2,13 +2,14 @@
 
 Resolved as arndt_carlitz.series.BivariateTruncatedSeries too.  gf runs
 the slice recurrence on dense int rows, so no command loads this module.
+Coefficients are ints, checked as in TruncatedSeries.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .series import Scalar, TruncatedSeries, _frac
+from .series import TruncatedSeries, _int
 
 
 class BivariateTruncatedSeries:
@@ -22,16 +23,16 @@ class BivariateTruncatedSeries:
 
     __slots__ = ("_coeffs", "_order")
 
-    def __init__(self, coeffs: dict[tuple[int, int], Scalar], order: int):
+    def __init__(self, coeffs: dict[tuple[int, int], int], order: int):
         if order < 0:
             raise ValueError(f"order must be nonnegative, got {order}")
-        store: dict[tuple[int, int], Scalar] = {}
+        store: dict[tuple[int, int], int] = {}
         for (p, q), v in coeffs.items():
             if p < 0 or q < 0:
                 raise ValueError(f"negative exponent pair ({p}, {q})")
             if p > order or q > order:
                 continue
-            fv = _frac(v)
+            fv = _int(v)
             if fv:
                 store[(p, q)] = fv
         self._coeffs = store
@@ -57,7 +58,7 @@ class BivariateTruncatedSeries:
     def order(self) -> int:
         return self._order
 
-    def terms(self) -> Iterator[tuple[int, int, Scalar]]:
+    def terms(self) -> Iterator[tuple[int, int, int]]:
         """Nonzero terms as (z-power, u-power, coefficient), sorted."""
         for (p, q) in sorted(self._coeffs):
             yield p, q, self._coeffs[(p, q)]
@@ -93,7 +94,7 @@ class BivariateTruncatedSeries:
             return NotImplemented
         self._require_same_order(other)
         n = self._order
-        out: dict[tuple[int, int], Scalar] = {}
+        out: dict[tuple[int, int], int] = {}
         for (p1, q1), v1 in self._coeffs.items():
             for (p2, q2), v2 in other._coeffs.items():
                 p, q = p1 + p2, q1 + q2
@@ -105,7 +106,7 @@ class BivariateTruncatedSeries:
     def mul_univariate(self, s: TruncatedSeries) -> "BivariateTruncatedSeries":
         """Multiply by a series in z alone."""
         n = self._order
-        out: dict[tuple[int, int], Scalar] = {}
+        out: dict[tuple[int, int], int] = {}
         for (p1, q1), v1 in self._coeffs.items():
             for i in range(min(s.order, n - p1) + 1):
                 c = s.coeffs[i]

@@ -8,8 +8,8 @@ does.  The public mpf functions of `asymptotics` convert around this
 core, and the `asymptotics` command calls it directly, without mpmath:
 `amplitudes` reads the pass that confirmed `find_rho`'s root.  The
 module is imported on first use: commands that never reach the numeric
-layer do not load it.  Exact rationals are int pairs (num, den), and
-fractions is imported only to print an error message.
+layer do not load it.  Exact rationals are int pairs (num, den), rounded
+in ints, so the module never imports fractions.
 """
 
 from __future__ import annotations
@@ -124,12 +124,15 @@ def nstr(n: int, wp: int, digits: int) -> str:
 
 def _qstr(num: int, den: int, digits: int) -> str:
     """str of the mpf nearest to num/den (den > 0) at `digits` digits, as mpmath prints it."""
-    from fractions import Fraction  # error messages only
-
     if not num:
         return "0.0"
     wp = _dps_to_prec(digits) - _mag(abs(num), den)
-    return nstr(round(Fraction(num, den) * Fraction(2) ** wp), wp, digits)
+    # num/den * 2^wp rounded to the nearest int, halves to even as round() does
+    d = den << max(-wp, 0)
+    q, r = divmod(num << max(wp, 0), d)
+    if 2 * r > d or 2 * r == d and q % 2:
+        q += 1
+    return nstr(q, wp, digits)
 
 
 def _stuck(value_threshold: tuple[int, int], dps: int) -> PrecisionError:

@@ -28,8 +28,8 @@ mpf((n, -w)) around the int core in the private module `_pole`, which
 loads on first use.  The `asymptotics` command calls that core alone: it
 takes the constants from the pass that confirmed `find_rho`'s root and
 prints with `nstr`.  This module never imports logging (see `_debug`), gf
-is imported only by `denominator_derivative_via_series`, and no function
-here imports fractions, so that command runs on ints from argv to stdout.
+is imported only by `denominator_derivative_via_series`, and the package
+never imports fractions, so that command runs on ints from argv to stdout.
 """
 
 from __future__ import annotations

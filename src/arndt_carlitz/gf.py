@@ -73,7 +73,9 @@ Two independent computation paths are provided, both on int lists: the
 closed forms above (production path) and direct iteration of the slice
 recurrence on dense rows (cross-check path, slower).  Their agreement,
 plus agreement with exhaustive enumeration, is the module's correctness
-argument.
+argument.  Every series here lies in Z[[z]], and each divisor (E(z),
+E(z^2), D) has constant term 1, so the quotients stay integral; a counting
+series is checked only for negative coefficients.
 
 A function is memoised only when one command re-reads its value: _euler,
 alpha_series, beta_series, numerator_series and denominator_series.
@@ -93,7 +95,7 @@ DEFAULT_ORDER = 64
 
 
 class SeriesConsistencyError(ArithmeticError):
-    """A counting series came out non-integral or negative: arithmetic bug."""
+    """A counting series came out with a negative coefficient: arithmetic bug."""
 
 
 def _variant_shift(variant: str) -> int:
@@ -210,7 +212,7 @@ def denominator_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
 def _require_counting_series(s: TruncatedSeries, name: str) -> TruncatedSeries:
     for n, c in enumerate(s.coeffs):
-        if c.denominator != 1 or c < 0:
+        if c < 0:
             raise SeriesConsistencyError(
                 f"{name} coefficient of z^{n} is {c}; counting series must have "
                 f"nonnegative integer coefficients"

@@ -1,64 +1,54 @@
-"""Truncated formal power series with exact rational coefficients.
+"""Truncated formal power series with exact integer coefficients.
 
 Two carriers: TruncatedSeries in z, and BivariateTruncatedSeries in (z, u)
 with u-substitution maps, each with only the operations that the package,
 its acceptance tests and the benchmark tracer call.  The bivariate one
 serves library callers (the slice path runs on dense int rows), so it is
 defined in the private module _bivariate, loaded on first use, and
-resolves here by name.  All
-arithmetic is exact: every coefficient is stored in canonical form, an int
-when it is integral and a fractions.Fraction otherwise, so integer series
-stay in int arithmetic throughout (fractions is imported only once a
-non-int value, or a divisor whose constant term is not +-1, shows up).
-Nothing in this module ever rounds.  Values are immutable after
-construction, so they are safe to share across threads and to cache.
+resolves here by name.  Every series the package builds lies in Z[[z]],
+and every divisor has constant term 1, so coefficients are Python ints
+only: an int subclass such as bool is stored as its int value, and any
+other type raises TypeError.  Nothing in this module ever rounds.  Values
+are immutable after construction, so they are safe to share across
+threads and to cache.
 
 Truncation convention: a series of order N stores coefficients of
 z^0 .. z^N inclusive; every operation truncates its result back to order N.
 Binary operations on different orders normalize to the smaller order.
 
 A product is one convolution per coefficient, c_k = sum(map(mul, a[:k+1],
-b_rev[n-k:])) with b reversed, so the inner loop runs in C for int and
-Fraction coefficients alike; a quotient is long division over the
-nonzero terms of the divisor only.
+b_rev[n-k:])) with b reversed, so the inner loop runs in C; a quotient is
+long division over the nonzero terms of the divisor only, whose constant
+term must be +-1 (its own inverse, so the quotient stays in Z[[z]]).
 """
 
 from __future__ import annotations
 
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Union
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-Scalar = Union[int, "Fraction"]
+from typing import Iterable
 
 
 class NonInvertibleSeriesError(ZeroDivisionError):
-    """Division by a series whose constant term is zero."""
+    """Division by a series whose constant term is not +-1."""
 
 
-def _frac(v: Scalar) -> Scalar:
-    """Canonical exact coefficient: int when integral, else Fraction (imported for a non-int)."""
+def _int(v: int) -> int:
+    """The coefficient v as a plain int (an int subclass such as bool converts)."""
     if isinstance(v, int):
         return int(v)
-    from fractions import Fraction
-
-    if isinstance(v, Fraction):
-        return v.numerator if v.denominator == 1 else v
-    # floats are rejected outright: this module is the exact substrate
-    raise TypeError(f"coefficients must be int or Fraction, got {type(v).__name__}")
+    # floats and fractions are rejected outright: this module is the exact substrate
+    raise TypeError(f"coefficients must be int, got {type(v).__name__}")
 
 
 class TruncatedSeries:
-    """Power series in z truncated at a fixed order, exact coefficients."""
+    """Power series in z truncated at a fixed order, int coefficients."""
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar]):
+    def __init__(self, coeffs: Iterable[int]):
         cs = tuple(coeffs)
         if set(map(type, cs)) - {int}:  # plain ints are canonical already
-            cs = tuple(map(_frac, cs))
+            cs = tuple(map(_int, cs))
         if not cs:
             raise ValueError("a truncated series needs at least the z^0 coefficient")
         self._coeffs = cs
@@ -74,23 +64,23 @@ class TruncatedSeries:
         return cls.monomial(0, order)
 
     @classmethod
-    def monomial(cls, exponent: int, order: int, coeff: Scalar = 1) -> "TruncatedSeries":
+    def monomial(cls, exponent: int, order: int, coeff: int = 1) -> "TruncatedSeries":
         cs = [0] * (order + 1)
         if 0 <= exponent <= order:
-            cs[exponent] = _frac(coeff)
+            cs[exponent] = coeff  # checked with the rest by the constructor
         return cls(cs)
 
     # -- accessors ---------------------------------------------------------
 
     @property
-    def coeffs(self) -> tuple[Scalar, ...]:
+    def coeffs(self) -> tuple[int, ...]:
         return self._coeffs
 
     @property
     def order(self) -> int:
         return len(self._coeffs) - 1
 
-    def coefficient(self, n: int) -> Scalar:
+    def coefficient(self, n: int) -> int:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} outside truncation order {self.order}")
         return self._coeffs[n]
@@ -138,17 +128,12 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         b = other._coeffs
-        if b[0] == 0:
+        inv0 = b[0]  # +-1 is its own inverse
+        if inv0 not in (1, -1):
             raise NonInvertibleSeriesError(
-                "cannot divide by a series with zero constant term"
+                f"cannot divide by a series with constant term {inv0} (not +-1)"
             )
         n = self._common_order(other)
-        if b[0] in (1, -1):  # its own inverse: integer series stay int
-            inv0 = b[0]
-        else:
-            from fractions import Fraction
-
-            inv0 = _frac(Fraction(1, b[0]))
         support = [(i, b[i]) for i in range(1, n + 1) if b[i]]
         out = list(self._coeffs[: n + 1])
         for k in range(n + 1):

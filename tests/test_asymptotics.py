@@ -9,7 +9,9 @@ from mpmath import mp, mpf
 
 from arndt_carlitz import _pole, asymptotics, cli
 from arndt_carlitz.asymptotics import (
+    GUARD_DIGITS,
     BracketError,
+    DegeneratePoleError,
     DomainError,
     PrecisionError,
     amplitudes,
@@ -273,6 +275,36 @@ def test_mag_is_the_least_exponent_above_the_ratio(num, den):
     assert Fraction(2) ** (m - 1) <= Fraction(num, den) < Fraction(2) ** m
 
 
+def qstr_oracle(num, den, digits):
+    # round() of the exact Fraction num/den * 2^wp: nearest, halves to even
+    if not num:
+        return "0.0"
+    wp = _pole._dps_to_prec(digits) - _pole._mag(abs(num), den)
+    return _pole.nstr(round(Fraction(num, den) * Fraction(2) ** wp), wp, digits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-(2 ** 300), 2 ** 300),
+    st.integers(1, 2 ** 300),
+    st.integers(1, 60),
+)
+@example(0, 3, 5)
+# num/den * 2^wp is an exact half, here 70.5 and 83.5 at 1 digit, whose
+# neighbours print differently: halves up or down would change the text
+@example(141, 256, 1)
+@example(-141, 256, 1)
+@example(167, 256, 1)
+@example(-167, 256, 1)
+@example(2 ** 20 + 53, 2 ** 21, 5)
+@example(2 ** 20 + 11, 2 ** 21, 5)
+@example(2 ** 70 + 129, 2 ** 71, 20)
+@example(-(2 ** 70 + 11), 2 ** 71, 20)
+def test_qstr_rounds_the_exact_ratio_as_fraction_does(num, den, digits):
+    # the error messages print exact ratios; _qstr rounds them in ints
+    assert _pole._qstr(num, den, digits) == qstr_oracle(num, den, digits)
+
+
 def test_find_rho_rejects_signless_bracket():
     with pytest.raises(BracketError):
         find_rho(15, bracket=("0.10", "0.20"))
@@ -332,6 +364,41 @@ def test_find_rho_reevaluates_an_endpoint_near_the_root(monkeypatch):
         rho = find_rho(25, bracket=(mpf(RHO) - mpf("1e-12"), "0.70"))
         assert abs(rho - mpf(RHO)) < mpf("1e-30")
     assert precisions[:3] == [20, 40, 20]
+
+
+def test_find_rho_gives_up_when_the_last_rung_cannot_converge(monkeypatch):
+    # one Newton step per rung cannot reach 10^-(digits+8) on the last one
+    monkeypatch.setattr(_pole, "_MAX_STEPS_PER_RUNG", 1)
+    with pytest.raises(PrecisionError, match="did not converge to 20 digits"):
+        _pole.find_rho(20)
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_find_rho_returns_a_bracket_end_where_d_is_zero(monkeypatch, end):
+    # an end whose pass gives D exactly 0 is the root, with that pass
+    w = _pole._dps_to_prec(20 + GUARD_DIGITS)
+    num, den = _pole.BRACKET[end]
+    x = _pole._div(num << w, den)
+    real = _pole.ksums
+
+    def zero_at_the_end(n, bits, dps, tol=None):
+        sums = real(n, bits, dps, tol)
+        return sums._replace(denominator=0) if n == x else sums
+
+    monkeypatch.setattr(_pole, "ksums", zero_at_the_end)
+    root, bits, sums = _pole.find_rho(20)
+    assert (root, bits, sums.denominator) == (x, w, 0)
+
+
+def test_amplitudes_reject_a_pass_with_bad_slope():
+    _, _, sums = _pole.find_rho(20)
+    assert _pole.amplitudes(sums, 20)[0][0] == sums.x
+    # D' = 0: no simple pole
+    with pytest.raises(DegeneratePoleError):
+        _pole.amplitudes(sums._replace(derivative=0), 20)
+    # D' of the wrong sign makes c_even = -Num/(rho*D') negative
+    with pytest.raises(PrecisionError, match="nonpositive"):
+        _pole.amplitudes(sums._replace(derivative=-sums.derivative), 20)
 
 
 def test_diagnostics_are_debug_records(caplog):

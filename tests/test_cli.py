@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import hashlib
 import io
@@ -355,6 +356,13 @@ def test_env_cap_garbage_is_usage_error(capsys, monkeypatch):
     assert cli.CAP_ENV_VAR in err
 
 
+def test_env_cap_below_one_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv(cli.CAP_ENV_VAR, "0")
+    code, out, err = run(capsys, "count", "--n", "5", "--method", "brute")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {cli.CAP_ENV_VAR} must be >= 1, got 0\n"
+
+
 @pytest.mark.parametrize("method", ["gf", "slice"])
 def test_env_cap_is_read_only_where_brute_force_runs(capsys, monkeypatch, method):
     # the exact paths are not capped, so a bad cap value cannot fail them
@@ -421,7 +429,7 @@ def test_verify_small_order_skips_ratio_check(capsys):
 NUMERIC_MODULES = ("arndt_carlitz._pole", "mpmath", "logging")
 
 # the exact layer: gf and series load only with the commands that build
-# series, and fractions only once a non-integer coefficient shows up
+# series; the package never imports fractions
 EXACT_MODULES = ("arndt_carlitz.gf", "arndt_carlitz.series", "fractions")
 
 # the bivariate carrier, which no command runs, and the checks only verify runs
@@ -454,9 +462,9 @@ def test_exact_commands_never_load_the_numeric_layer():
              for parity in ("all", "even", "odd")
              for fmt in ("plain", "json", "csv", "bfile")]
     argvs += [["count", "--n", "12", "--method", m] for m in ("gf", "slice")]
-    # the package's records are NamedTuples: dataclasses stays unloaded too;
-    # the counting series are integral, so fractions does as well; the
-    # slice path runs on dense rows, without the bivariate carrier
+    # the package's records are NamedTuples: dataclasses stays unloaded too,
+    # as does fractions, which the package never imports; the slice path
+    # runs on dense rows, without the bivariate carrier
     modules = NUMERIC_MODULES + PRIVATE_MODULES + ("dataclasses", "fractions")
     assert probe_modules(*argvs, modules=modules) == [[EXIT_OK, []]] * len(argvs)
     # brute force and listing build no series: one process without gf
@@ -595,6 +603,17 @@ def test_in_process_main_freezes_nothing(capsys):
     before = gc.get_freeze_count()
     assert run(capsys, "count", "--n", "8") == (EXIT_OK, "n=8 even=7 odd=9 total=16\n", "")
     assert gc.get_freeze_count() == before
+
+
+def test_text_only_stdout_gets_the_same_text():
+    # a stream without a binary buffer, such as io.StringIO, takes the text
+    # itself: the same text as a process's real stdout
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(["count", "--n", "9"]) == EXIT_OK
+    done = run_python("-m", "arndt_carlitz.cli", "count", "--n", "9")
+    assert (done.returncode, done.stdout) == (EXIT_OK, text.getvalue())
+    assert text.getvalue() == "n=9 even=12 odd=15 total=27\n"
 
 
 _ATEXIT_PROBE = """

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from arndt_carlitz import gf
@@ -368,8 +366,9 @@ def test_counting_coefficients_integral_nonnegative_to_100():
 
 
 def test_production_path_stays_in_int_arithmetic():
-    # every counting series has integer coefficients; a slide back into
-    # Fraction arithmetic would make the exact engine several times slower
+    # every counting series has integer coefficients, stored as plain ints;
+    # the slice path's dense rows are plain lists, outside TruncatedSeries's
+    # type check
     order = 64
     bundle = series_bundle(order)
     series = [
@@ -406,7 +405,7 @@ def test_consistency_guard_trips_on_corrupted_numerator(monkeypatch, clean_gf_ca
     real = numerator_series.__wrapped__
 
     def corrupted(order):
-        return real(order) + TruncatedSeries.monomial(2, order, Fraction(1, 2))
+        return real(order) - TruncatedSeries.monomial(2, order, 1000)
 
     monkeypatch.setattr(gf, "numerator_series", corrupted)
     with pytest.raises(SeriesConsistencyError):

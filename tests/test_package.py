@@ -139,22 +139,36 @@ def test_cli_import_loads_only_what_every_command_needs():
 
 def test_lazy_fraction_imports_work_in_a_fresh_interpreter():
     # in-process tests run with fractions loaded by the test modules; here
-    # every path that imports it on demand runs in a process that had not
+    # the paths that once imported it on demand run in a process that had
+    # not, and leave it unloaded: the package never imports fractions
     probe = """
 import sys
-from arndt_carlitz.asymptotics import eval_denominator, find_rho
-from arndt_carlitz.series import TruncatedSeries
+from arndt_carlitz import _pole
+from arndt_carlitz.asymptotics import DomainError, eval_denominator, find_rho
+from arndt_carlitz.series import NonInvertibleSeriesError, TruncatedSeries
 assert "fractions" not in sys.modules
 print(find_rho(20, ("1e-40", "0.70")))
 assert "fractions" not in sys.modules
 # an explicit tol reaches the int core as an exact (num, den) pair
 print(eval_denominator("0.25", tol="1e-30", dps=20))
 assert "fractions" not in sys.modules
-half = TruncatedSeries.one(3) / TruncatedSeries([2, 1, 0, 0])
-print(half.coeffs, type(half.coeffs[1]).__name__)
+print((TruncatedSeries.one(3) / TruncatedSeries([1, 1, 0, 0])).coeffs)
+try:
+    TruncatedSeries.one(3) / TruncatedSeries([2, 1, 0, 0])
+except NonInvertibleSeriesError:
+    print("NonInvertibleSeriesError")
+assert "fractions" not in sys.modules
+# the message rounds the exact bracket end in ints
+try:
+    _pole.find_rho(20, ((-1, 3), (7, 10)))
+except DomainError as exc:
+    print(exc)
+assert "fractions" not in sys.modules
 """
     assert fresh(probe).splitlines() == [
         "0.627901008918481",
         "1.04734797423889",
-        "(Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8), Fraction(-1, 16)) Fraction",
+        "(1, -1, 1, -1)",
+        "NonInvertibleSeriesError",
+        "evaluation point must lie in (0, 1), got -0.333333333333333333",
     ]
