@@ -33,7 +33,8 @@ _MIN_RUNG = 15
 
 _MAX_STEPS_PER_RUNG = 100
 
-# asymptotics.DEFAULT_BRACKET, ("0.55", "0.70"), as exact (num, den) ends
+# find_rho's root bracket (0.55, 0.70) as exact (num, den) ends: D is about
+# 0.81 at 0.55 and -2.9 at 0.70
 BRACKET = ((11, 20), (7, 10))
 
 
@@ -344,22 +345,22 @@ def _ladder(working: int) -> list[int]:
     return rungs[::-1]
 
 
-def find_rho(digits: int, bracket=BRACKET) -> tuple[int, int, KSums]:
-    """(n, w, sums): the zero n/2^w of D in (0, 1) and the last pass, at digits + 15.
+def find_rho(digits: int) -> tuple[int, int, KSums]:
+    """(n, w, sums): the zero n/2^w of D in BRACKET and the last pass, at digits + 15.
 
     Safeguarded Newton iteration on the analytic D' with precision
-    doubling: the sign change is verified on the bracket at the first rung
-    of the ladder (about 20 digits; at digits + 15 when |D| at an endpoint
-    is within that rung's error budget), Newton starts from the bracket's
-    midpoint, and each rung doubles the precision up to digits + 15
-    working digits.  Every value of D whose size exceeds the rung's error
-    budget shrinks a sign-change bracket around the iterates; a Newton
-    step that would leave the bracket is replaced by a bisection step, so
-    the root stays enclosed.  The iteration stops once a step at full
-    working precision is below 10^-(digits+8).  The bracket's ends are
-    exact ratios (num, den) with den > 0; each must lie in (0, 1) and is
-    rounded to w bits (of digits + 15), but never onto 0 or 1.  sums is made
-    at the iterate before the final step, or at an endpoint that is a zero.
+    doubling: the sign change is verified on BRACKET at the first rung of
+    the ladder (about 20 digits), Newton starts from its midpoint, and each
+    rung doubles the precision up to digits + 15 working digits.  Every
+    value of D whose size exceeds the rung's error budget shrinks a
+    sign-change bracket around the iterates; a Newton step that would
+    leave the bracket is replaced by a bisection step, so the root stays
+    enclosed.  The iteration stops once a step at full working precision
+    is below 10^-(digits+8).  BRACKET's ends are rounded to w bits (of
+    digits + 15); an end whose |D| is within the first rung's error budget
+    cannot vouch for its sign and raises BracketError, as does a pair of
+    ends without a sign change.  sums is made at the iterate before the
+    final step.
     """
     if digits < 10:
         raise ValueError(f"digits must be >= 10, got {digits}")
@@ -373,29 +374,17 @@ def find_rho(digits: int, bracket=BRACKET) -> tuple[int, int, KSums]:
         passes += 1
         return ksums(x, w, dps)
 
-    def endpoint(x: int) -> KSums:
-        sums = evaluate(x, ladder[0])
-        if not _exceeds(sums.denominator, sums.wp, ladder[0]) and ladder[0] < working:
-            sums = evaluate(x, working)
-        return sums
-
-    for num, den in bracket:
-        if not 0 < num < den:
-            raise DomainError(
-                f"evaluation point must lie in (0, 1), got {_qstr(num, den, ladder[0])}"
-            )
-    a, b = (min(max(_div(num << w, den), 1), (1 << w) - 1) for num, den in bracket)
-    fa, fb = endpoint(a), endpoint(b)
-    if not fa.denominator:
-        return a, w, fa
-    if not fb.denominator:
-        return b, w, fb
+    a, b = (_div(num << w, den) for num, den in BRACKET)
+    fa, fb = evaluate(a, ladder[0]), evaluate(b, ladder[0])
     positive = fa.denominator > 0
-    if positive == (fb.denominator > 0):
+    if positive == (fb.denominator > 0) or not (
+        _exceeds(fa.denominator, fa.wp, ladder[0]) and _exceeds(fb.denominator, fb.wp, ladder[0])
+    ):
         raise BracketError(
             f"D({nstr(a, w, working)}) = {nstr(fa.denominator, fa.wp, working)} and "
             f"D({nstr(b, w, working)}) = {nstr(fb.denominator, fb.wp, working)} "
-            "do not change sign; root bracket or evaluators are broken"
+            f"do not change sign beyond the error budget of {ladder[0]} digits; "
+            "evaluators are broken"
         )
     x = (a + b) >> 1
     for dps in ladder:

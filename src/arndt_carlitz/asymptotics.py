@@ -5,10 +5,10 @@ The counting generating functions are quotients with the common denominator
     D(z) = 1 - alpha(z,1) - beta(z,z) + beta(z,z)*alpha(z,1)
              - alpha(z,z)*beta(z,1),
 
-whose smallest positive zero rho is a simple pole of every counting
-series.  Near it F(z,1) ~ c_even/(1 - z/rho) with residue constant
-c_even = -Num(rho)/(rho*D'(rho)), and likewise for the odd and total
-sequences, so counts grow like c * (1/rho)^n.
+whose smallest positive zero rho, in the fixed bracket (0.55, 0.70), is a
+simple pole of every counting series.  Near it F(z,1) ~ c_even/(1 - z/rho)
+with residue constant c_even = -Num(rho)/(rho*D'(rho)), and likewise for
+the odd and total sequences, so counts grow like c * (1/rho)^n.
 
 All evaluation here is numeric but precision-controlled: Python ints in
 fixed point (an int n stands for n/2^w) at a number of bits set by the
@@ -44,8 +44,6 @@ DEFAULT_DPS = 30
 
 GUARD_DIGITS = 15
 
-DEFAULT_BRACKET = ("0.55", "0.70")
-
 # growth rates of the two classical comparison classes
 UNRESTRICTED_GROWTH = "2"
 CARLITZ_GROWTH = "1.750243"
@@ -56,7 +54,7 @@ class DomainError(ValueError):
 
 
 class BracketError(ArithmeticError):
-    """No sign change on the root bracket: the evaluators are broken."""
+    """No sign change of D on the root bracket above the error budget: evaluators broken."""
 
 
 class PrecisionError(ArithmeticError):
@@ -132,18 +130,17 @@ def eval_denominator(x, tol=None, dps: int = DEFAULT_DPS) -> mpf:
     return _ksums(x, tol, dps).denominator
 
 
-def find_rho(digits: int = 20, bracket=DEFAULT_BRACKET) -> mpf:
+def find_rho(digits: int = 20) -> mpf:
     """The zero of D in (0, 1), accurate to `digits` significant digits.
 
-    `_pole.find_rho`, with the bracket's ends read as mpf at digits + 15.
+    `_pole.find_rho` on its fixed bracket (0.55, 0.70), the root as an mpf.
     """
     from mpmath import mp, mpf
 
     from . import _pole
 
     with mp.workdps(digits + GUARD_DIGITS):
-        ends = [(n, 1 << w) for n, w in (_dyadic(mpf(end)) for end in bracket)]
-        n, w, _ = _pole.find_rho(digits, ends)
+        n, w, _ = _pole.find_rho(digits)
         return mpf((n, -w))
 
 

@@ -1,4 +1,3 @@
-import inspect
 import logging
 import time
 from fractions import Fraction
@@ -240,23 +239,12 @@ def test_find_rho_input_validation():
         find_rho(9)
 
 
-def test_find_rho_keeps_a_tiny_lower_end_inside_the_domain():
-    # 1e-40 is below the 2^-119 step of 35 working digits: the end is read
-    # exactly, checked in (0, 1), and rounded no lower than one step
-    with mp.workdps(40):
-        assert abs(find_rho(20, ("1e-40", "0.70")) - mpf(RHO)) < mpf("1e-25")
-    for bracket in (("0", "0.70"), ("-1e-40", "0.70"), ("0.55", "1")):
-        with pytest.raises(DomainError):
-            find_rho(20, bracket)
-
-
-def test_int_core_default_bracket_is_the_public_one():
-    # _pole keeps DEFAULT_BRACKET as exact int ratios, so it needs no Fraction
-    default = inspect.signature(_pole.find_rho).parameters["bracket"].default
-    assert default is _pole.BRACKET
-    assert [Fraction(*end) for end in _pole.BRACKET] == [
-        Fraction(end) for end in asymptotics.DEFAULT_BRACKET
-    ]
+def test_public_find_rho_is_the_int_core_root():
+    # both layers round the same BRACKET ends and run the same iteration
+    for digits in (10, 20, 100):
+        n, w, _ = _pole.find_rho(digits)
+        man, exp = asymptotics._dyadic(find_rho(digits))
+        assert Fraction(n, 1 << w) == Fraction(man, 1 << exp)
 
 
 @settings(max_examples=300, deadline=None)
@@ -305,9 +293,38 @@ def test_qstr_rounds_the_exact_ratio_as_fraction_does(num, den, digits):
     assert _pole._qstr(num, den, digits) == qstr_oracle(num, den, digits)
 
 
-def test_find_rho_rejects_signless_bracket():
-    with pytest.raises(BracketError):
-        find_rho(15, bracket=("0.10", "0.20"))
+def test_find_rho_rejects_signless_bracket(monkeypatch):
+    # D > 0 at both ends of (0.10, 0.20)
+    monkeypatch.setattr(_pole, "BRACKET", ((1, 10), (1, 5)))
+    with pytest.raises(BracketError, match="do not change sign"):
+        find_rho(15)
+
+
+def test_find_rho_rejects_an_end_within_the_error_budget(monkeypatch):
+    # an end whose |D| is not above the first rung's error budget (1e-9 at
+    # 18 digits for find_rho(20)) cannot vouch for the sign change, even
+    # where that sign is right: 0.6279010089184 lies 8e-14 below rho, so
+    # |D| there is about 1.5e-12
+    monkeypatch.setattr(_pole, "BRACKET", ((6279010089184, 10 ** 13), _pole.BRACKET[1]))
+    with pytest.raises(BracketError, match="error budget of 18 digits"):
+        _pole.find_rho(20)
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_find_rho_rejects_an_end_where_d_is_zero(monkeypatch, end):
+    # an exact zero lies within every error budget
+    w = _pole._dps_to_prec(20 + GUARD_DIGITS)
+    num, den = _pole.BRACKET[end]
+    x = _pole._div(num << w, den)
+    real = _pole.ksums
+
+    def zero_at_the_end(n, bits, dps, tol=None):
+        sums = real(n, bits, dps, tol)
+        return sums._replace(denominator=0) if n == x else sums
+
+    monkeypatch.setattr(_pole, "ksums", zero_at_the_end)
+    with pytest.raises(BracketError, match="evaluators are broken"):
+        _pole.find_rho(20)
 
 
 def test_find_rho_hundred_digits():
@@ -317,17 +334,19 @@ def test_find_rho_hundred_digits():
 
 @pytest.mark.parametrize(
     "bracket",
-    [("0.55", "0.70"), ("0.6279", "0.62791"), ("0.40", "0.628")],
+    [((11, 20), (7, 10)), ((6279, 10000), (62791, 100000)), ((2, 5), (157, 250))],
     ids=["default", "narrow", "overshoot"],
 )
-def test_find_rho_stays_in_bracket(bracket, caplog):
+def test_find_rho_stays_in_bracket(bracket, monkeypatch, caplog):
+    monkeypatch.setattr(_pole, "BRACKET", bracket)
     with caplog.at_level(logging.DEBUG, logger=asymptotics.__name__):
-        rho = find_rho(25, bracket=bracket)
+        rho = find_rho(25)
     with mp.workdps(50):
-        assert mpf(bracket[0]) < rho < mpf(bracket[1])
+        (lo_num, lo_den), (hi_num, hi_den) = bracket
+        assert mpf(lo_num) / lo_den < rho < mpf(hi_num) / hi_den
         assert abs(rho - mpf(RHO)) < mpf("1e-30")
     (record,) = caplog.records
-    if bracket[0] == "0.40":
+    if bracket[0] == (2, 5):
         # D is concave here: the Newton step from the midpoint 0.514 lands
         # beyond 0.628, so the safeguard must bisect
         assert "bisection=0 " not in record.getMessage()
@@ -348,46 +367,11 @@ def test_find_rho_pass_budget(monkeypatch):
     assert 0 < len(passes) <= 12
 
 
-def test_find_rho_reevaluates_an_endpoint_near_the_root(monkeypatch):
-    # |D| at an endpoint 1e-12 from rho is within the first rung's error
-    # budget (1e-10 at 20 digits), so its sign is read again at full
-    # working precision (40 digits for find_rho(25)) before it is trusted
-    precisions = []
-    real = _pole.ksums
-
-    def counting(n, w, dps, tol=None):
-        precisions.append(dps)
-        return real(n, w, dps, tol)
-
-    monkeypatch.setattr(_pole, "ksums", counting)
-    with mp.workdps(50):
-        rho = find_rho(25, bracket=(mpf(RHO) - mpf("1e-12"), "0.70"))
-        assert abs(rho - mpf(RHO)) < mpf("1e-30")
-    assert precisions[:3] == [20, 40, 20]
-
-
 def test_find_rho_gives_up_when_the_last_rung_cannot_converge(monkeypatch):
     # one Newton step per rung cannot reach 10^-(digits+8) on the last one
     monkeypatch.setattr(_pole, "_MAX_STEPS_PER_RUNG", 1)
     with pytest.raises(PrecisionError, match="did not converge to 20 digits"):
         _pole.find_rho(20)
-
-
-@pytest.mark.parametrize("end", [0, 1])
-def test_find_rho_returns_a_bracket_end_where_d_is_zero(monkeypatch, end):
-    # an end whose pass gives D exactly 0 is the root, with that pass
-    w = _pole._dps_to_prec(20 + GUARD_DIGITS)
-    num, den = _pole.BRACKET[end]
-    x = _pole._div(num << w, den)
-    real = _pole.ksums
-
-    def zero_at_the_end(n, bits, dps, tol=None):
-        sums = real(n, bits, dps, tol)
-        return sums._replace(denominator=0) if n == x else sums
-
-    monkeypatch.setattr(_pole, "ksums", zero_at_the_end)
-    root, bits, sums = _pole.find_rho(20)
-    assert (root, bits, sums.denominator) == (x, w, 0)
 
 
 def test_amplitudes_reject_a_pass_with_bad_slope():
@@ -540,31 +524,32 @@ def test_coefficient_ratios_approach_growth():
             assert abs(scaled - mpf(tabulated)) > mpf("1e-9"), (tabulated, scaled)
 
 
-def test_exact_coefficients_pin_the_pole_constants():
-    # The counts at n = 599 and 600 share no k-sum with the numeric path.
-    # Their pole-transfer error is ~1e-101 relative (|r(n)|^(1/n) settles
-    # near 1.078), so they confirm find_rho and amplitudes to ~100 digits.
-    bundle = series_bundle(600)
+def test_exact_coefficients_pin_the_pole_constants(capsys):
+    # The counts at n = 1000 and 1001 share no k-sum with the numeric path.
+    # Their pole-transfer error is ~1e-168 relative for the growth and
+    # ~1e-165 for the constants (|r(n)|^(1/n) settles near 1.078), so they
+    # confirm find_rho and amplitudes, and every digit that
+    # `asymptotics --digits 150` prints.
+    bundle = series_bundle(1001)
     est = amplitudes(find_rho(110), 110)
+    assert cli.main(["asymptotics", "--digits", "150"]) == 0
+    printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
 
     def exact(series, n):
         return mpf(int(series.coefficient(n)))
 
-    with mp.workdps(130):
-
-        def close(got, want):
-            return abs(got / want - 1) < mpf("1e-90")
-
-        growth = exact(bundle.total, 600) / exact(bundle.total, 599)
-        assert close(growth, est.growth)
-        assert close(growth, 1 / mpf(RHO_120))
-        scale = growth ** 599
-        for series, constant in (
-            (bundle.even, est.c_even),
-            (bundle.odd, est.c_odd),
-            (bundle.total, est.c_total),
+    with mp.workdps(200):
+        growth = exact(bundle.total, 1001) / exact(bundle.total, 1000)
+        scale = growth ** 1000
+        for name, value, constant in (
+            ("rho", 1 / growth, est.rho),
+            ("growth", growth, est.growth),
+            ("c_even", exact(bundle.even, 1000) / scale, est.c_even),
+            ("c_odd", exact(bundle.odd, 1000) / scale, est.c_odd),
+            ("c_total", exact(bundle.total, 1000) / scale, est.c_total),
         ):
-            assert close(exact(series, 599) / scale, constant)
+            assert abs(value / constant - 1) < mpf("1e-105"), name
+            assert mp.nstr(value, 150) == printed[name], name
 
 
 def nstr_oracle(n, wp, digits):

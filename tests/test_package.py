@@ -143,11 +143,10 @@ def test_lazy_fraction_imports_work_in_a_fresh_interpreter():
     # not, and leave it unloaded: the package never imports fractions
     probe = """
 import sys
-from arndt_carlitz import _pole
-from arndt_carlitz.asymptotics import DomainError, eval_denominator, find_rho
+from arndt_carlitz.asymptotics import PrecisionError, eval_denominator, find_rho
 from arndt_carlitz.series import NonInvertibleSeriesError, TruncatedSeries
 assert "fractions" not in sys.modules
-print(find_rho(20, ("1e-40", "0.70")))
+print(find_rho(20))
 assert "fractions" not in sys.modules
 # an explicit tol reaches the int core as an exact (num, den) pair
 print(eval_denominator("0.25", tol="1e-30", dps=20))
@@ -158,10 +157,10 @@ try:
 except NonInvertibleSeriesError:
     print("NonInvertibleSeriesError")
 assert "fractions" not in sys.modules
-# the message rounds the exact bracket end in ints
+# the message rounds the exact tail threshold in ints
 try:
-    _pole.find_rho(20, ((-1, 3), (7, 10)))
-except DomainError as exc:
+    eval_denominator("0.9999", dps=20)
+except PrecisionError as exc:
     print(exc)
 assert "fractions" not in sys.modules
 """
@@ -170,5 +169,5 @@ assert "fractions" not in sys.modules
         "1.04734797423889",
         "(1, -1, 1, -1)",
         "NonInvertibleSeriesError",
-        "evaluation point must lie in (0, 1), got -0.333333333333333333",
+        "tail of the k-sums did not reach 1.9998999999999999942e-29 within 100000 terms",
     ]
