@@ -8,20 +8,35 @@ The process entry is `run`; `main` is the in-process entry for tests and
 library callers.  Every command except verify writes its whole result to
 stdout at once; verify prints one line per check as it runs.
 
+The grammar is one option table, `COMMANDS`.  `main` first parses argv
+strictly against it: a command name, then exact `--flag value` pairs,
+each flag at most once, no value starting with '-', every value within
+its range or choices and every required flag present.  argparse, built
+from the same table, gives the same namespace for such an argv; it is
+imported only for any other argv, for its help text, usage errors and
+forms such as `--order=50` or an abbreviated flag.
+
 The brute-force cap (default 30) can be overridden with the
 ARNDT_CARLITZ_CAP environment variable.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 # gf (and with it series) loads only in the commands that build series;
 # the parser choices and main's except clauses need these two
 from . import asymptotics, compositions
+
+if TYPE_CHECKING:
+    import argparse
+
+    # what a handler reads: the strict parse's or argparse's namespace
+    Args = SimpleNamespace | argparse.Namespace
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -53,17 +68,21 @@ def _brute_cap() -> int:
 
 
 def _bounded_int(low: int, high: int | None = None):
-    """argparse type for an integer in [low, high] (no upper bound if high is None)."""
+    """The check of an integer in [low, high] (no upper bound if high is None).
+
+    It raises ValueError with the message that argparse prints after
+    `argument --flag: `.
+    """
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+            raise ValueError(f"must be an integer, got {text!r}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+            raise ValueError(f"must be >= {low}, got {value}")
         if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+            raise ValueError(f"must be <= {high}, got {value}")
         return value
 
     return parse
@@ -106,7 +125,7 @@ def _counts_for(n: int, method: str, parities: tuple[str, ...]) -> dict[str, int
     return {p: series[p](n).coefficient(n) for p in parities}
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: Args) -> int:
     every = args.parity == "all"
     shown = _counts_for(args.n, args.method, ("even", "odd") if every else (args.parity,))
     if every:
@@ -115,7 +134,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return _write([" ".join(parts)])
 
 
-def _cmd_series(args: argparse.Namespace) -> int:
+def _cmd_series(args: Args) -> int:
     from . import gf
 
     if args.order is None:  # gf's default order: the parser does not load gf
@@ -125,11 +144,11 @@ def _cmd_series(args: argparse.Namespace) -> int:
     if args.format == "plain":
         lines = [" ".join(str(c) for c in coeffs)]
     elif args.format == "json":
-        import json
-
-        payload = {"query": "series", "parity": args.parity, "method": "gf",
-                   "order": args.order, "coefficients": coeffs}
-        lines = [json.dumps(payload)]
+        # json.dumps of the payload {query, parity, method, order,
+        # coefficients}: its strings are ASCII choices and its numbers
+        # ints, so the line needs no json module
+        lines = [f'{{"query": "series", "parity": "{args.parity}", "method": "gf", '
+                 f'"order": {args.order}, "coefficients": [{", ".join(map(str, coeffs))}]}}']
     elif args.format == "csv":
         lines = ["n,coefficient", *(f"{n},{c}" for n, c in enumerate(coeffs))]
     else:  # bfile: "n a(n)" per line, starting at n=1
@@ -137,12 +156,12 @@ def _cmd_series(args: argparse.Namespace) -> int:
     return _write(lines)
 
 
-def _cmd_list(args: argparse.Namespace) -> int:
+def _cmd_list(args: Args) -> int:
     found = compositions.list_arndt_carlitz(args.n, args.parity, _brute_cap())
     return _write(["+".join(str(p) for p in c) for c in found])
 
 
-def _cmd_asymptotics(args: argparse.Namespace) -> int:
+def _cmd_asymptotics(args: Args) -> int:
     from . import _pole  # the int core: no mpmath on this path
 
     digits = args.digits
@@ -156,7 +175,7 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
     return _write(lines)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: Args) -> int:
     cap = _brute_cap()
     if args.max_n > cap:
         raise UsageError(f"--max-n {args.max_n} exceeds the brute-force cap {cap}")
@@ -170,48 +189,106 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_MISMATCH if _verify.run_checks(args.max_n, args.order, cap) else EXIT_OK
 
 
+# The command grammar, read by `_parse_strict` and `build_parser`: per
+# command its handler, its help line and its flags, each as
+# (flag, dest, rule, default, required, help).  A rule is an int check
+# from `_bounded_int` or a tuple of choices.
+COMMANDS = {
+    "count": (_cmd_count, "count compositions of n by parity", (
+        ("--n", "n", _bounded_int(1), None, True, None),
+        ("--parity", "parity", compositions.PARITIES, "all", False, None),
+        ("--method", "method", ("brute", "gf", "slice"), "gf", False, None),
+    )),
+    "series": (_cmd_series, "emit counting-series coefficients", (
+        ("--order", "order", _bounded_int(0), None, False, None),
+        ("--parity", "parity", compositions.PARITIES, "all", False, None),
+        ("--format", "format", ("plain", "json", "csv", "bfile"), "plain", False, None),
+    )),
+    "list": (_cmd_list, "list the compositions of n", (
+        ("--n", "n", _bounded_int(1), None, True, None),
+        ("--parity", "parity", compositions.PARITIES, "all", False, None),
+    )),
+    "asymptotics": (_cmd_asymptotics, "dominant pole and residue constants", (
+        ("--digits", "digits", _bounded_int(1, MAX_DIGITS), 20, False,
+         f"significant digits, 1 to {MAX_DIGITS} (default 20)"),
+    )),
+    "verify": (_cmd_verify, "run the cross-verification harness", (
+        ("--max-n", "max_n", _bounded_int(1), 16, False, None),
+        ("--order", "order", _bounded_int(0), None, False, None),
+    )),
+}
+
+
+def _parse_strict(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of a well-formed argv, as argparse would return it.
+
+    None for any other argv, which is then left to argparse.  A value
+    starting with '-' is declined because argparse may read it as a flag.
+    """
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    func, _, flags = COMMANDS[argv[0]]
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) != len(argv) // 2 or not given.keys() <= {f[0] for f in flags}:
+        return None  # a repeated or unknown flag
+    values = {}
+    for flag, dest, rule, default, required, _ in flags:
+        if flag not in given:
+            if required:
+                return None
+            values[dest] = default
+            continue
+        text = given[flag]
+        if text.startswith("-"):
+            return None
+        if isinstance(rule, tuple):
+            if text not in rule:
+                return None
+            values[dest] = text
+        else:
+            try:
+                values[dest] = rule(text)
+            except ValueError:
+                return None
+    return SimpleNamespace(command=argv[0], func=func, **values)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of `COMMANDS`: help, usage errors, every other form."""
+    import argparse
+
+    def argparse_type(check):
+        def parse(text: str) -> int:
+            try:
+                return check(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        return parse
+
     parser = argparse.ArgumentParser(
         prog="arndt-carlitz",
         description="Exact counting and asymptotics for Arndt-Carlitz compositions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_count = sub.add_parser("count", help="count compositions of n by parity")
-    p_count.add_argument("--n", type=_bounded_int(1), required=True)
-    p_count.add_argument("--parity", choices=compositions.PARITIES, default="all")
-    p_count.add_argument("--method", choices=("brute", "gf", "slice"), default="gf")
-    p_count.set_defaults(func=_cmd_count)
-
-    p_series = sub.add_parser("series", help="emit counting-series coefficients")
-    p_series.add_argument("--order", type=_bounded_int(0), default=None)
-    p_series.add_argument("--parity", choices=compositions.PARITIES, default="all")
-    p_series.add_argument(
-        "--format", choices=("plain", "json", "csv", "bfile"), default="plain"
-    )
-    p_series.set_defaults(func=_cmd_series)
-
-    p_list = sub.add_parser("list", help="list the compositions of n")
-    p_list.add_argument("--n", type=_bounded_int(1), required=True)
-    p_list.add_argument("--parity", choices=compositions.PARITIES, default="all")
-    p_list.set_defaults(func=_cmd_list)
-
-    p_asym = sub.add_parser("asymptotics", help="dominant pole and residue constants")
-    p_asym.add_argument("--digits", type=_bounded_int(1, MAX_DIGITS), default=20,
-                        help=f"significant digits, 1 to {MAX_DIGITS} (default 20)")
-    p_asym.set_defaults(func=_cmd_asymptotics)
-
-    p_verify = sub.add_parser("verify", help="run the cross-verification harness")
-    p_verify.add_argument("--max-n", type=_bounded_int(1), default=16, dest="max_n")
-    p_verify.add_argument("--order", type=_bounded_int(0), default=None)
-    p_verify.set_defaults(func=_cmd_verify)
-
+    for command, (func, help_line, flags) in COMMANDS.items():
+        p_command = sub.add_parser(command, help=help_line)
+        for flag, dest, rule, default, required, help_text in flags:
+            if isinstance(rule, tuple):
+                checked = {"choices": rule}
+            else:
+                checked = {"type": argparse_type(rule)}
+            p_command.add_argument(flag, dest=dest, default=default, required=required,
+                                   help=help_text, **checked)
+        p_command.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_strict(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

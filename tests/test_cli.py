@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import gc
 import hashlib
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arndt_carlitz import _pole, cli, gf
 from arndt_carlitz.asymptotics import (
@@ -119,6 +121,18 @@ def test_series_json_order_zero(capsys):
     code, out, _ = run(capsys, "series", "--order", "0", "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)["coefficients"] == [0]
+
+
+@pytest.mark.parametrize("order", [0, 1, 96, 224])
+@pytest.mark.parametrize("parity", ["all", "even", "odd"])
+def test_series_json_line_is_json_dumps(capsys, parity, order):
+    # the command builds the line without the json module
+    code, out, _ = run(capsys, "series", "--order", str(order), "--parity", parity,
+                       "--format", "json")
+    series = {"all": gf.total_series, "even": gf.even_series, "odd": gf.odd_series}
+    payload = {"query": "series", "parity": parity, "method": "gf", "order": order,
+               "coefficients": series[parity](order).coeffs}
+    assert (code, out) == (EXIT_OK, json.dumps(payload) + "\n")
 
 
 def test_series_csv(capsys):
@@ -402,6 +416,147 @@ def test_non_integer_arguments_exit_two(capsys, argv):
     assert err.endswith(f"error: argument {argv[1]}: must be an integer, got {argv[2]!r}\n")
 
 
+# ---------------------------------------------------------------- parsing
+
+# argparse's help and usage text at 80 columns (CPython 3.11), recorded
+# before the strict parse existed: building the parser from the option
+# table must not change a byte of it
+_COUNT_USAGE = """\
+usage: arndt-carlitz count [-h] --n N [--parity {even,odd,all}]
+                           [--method {brute,gf,slice}]
+"""
+_SERIES_USAGE = """\
+usage: arndt-carlitz series [-h] [--order ORDER] [--parity {even,odd,all}]
+                            [--format {plain,json,csv,bfile}]
+"""
+_TOP_USAGE = """\
+usage: arndt-carlitz [-h] {count,series,list,asymptotics,verify} ...
+"""
+_HELP_AND_USAGE_TEXT = [
+    (["--help"], EXIT_OK, _TOP_USAGE + """
+Exact counting and asymptotics for Arndt-Carlitz compositions.
+
+positional arguments:
+  {count,series,list,asymptotics,verify}
+    count               count compositions of n by parity
+    series              emit counting-series coefficients
+    list                list the compositions of n
+    asymptotics         dominant pole and residue constants
+    verify              run the cross-verification harness
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    (["count", "--help"], EXIT_OK, _COUNT_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --parity {even,odd,all}
+  --method {brute,gf,slice}
+""", ""),
+    (["series", "--help"], EXIT_OK, _SERIES_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --order ORDER
+  --parity {even,odd,all}
+  --format {plain,json,csv,bfile}
+""", ""),
+    (["list", "--help"], EXIT_OK, """\
+usage: arndt-carlitz list [-h] --n N [--parity {even,odd,all}]
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --parity {even,odd,all}
+""", ""),
+    (["asymptotics", "--help"], EXIT_OK, """\
+usage: arndt-carlitz asymptotics [-h] [--digits DIGITS]
+
+options:
+  -h, --help       show this help message and exit
+  --digits DIGITS  significant digits, 1 to 1000 (default 20)
+""", ""),
+    (["verify", "--help"], EXIT_OK, """\
+usage: arndt-carlitz verify [-h] [--max-n MAX_N] [--order ORDER]
+
+options:
+  -h, --help     show this help message and exit
+  --max-n MAX_N
+  --order ORDER
+""", ""),
+    (["count"], EXIT_USAGE, "", _COUNT_USAGE + (
+        "arndt-carlitz count: error: the following arguments are required: --n\n")),
+    (["series", "--format", "yaml"], EXIT_USAGE, "", _SERIES_USAGE + (
+        "arndt-carlitz series: error: argument --format: invalid choice: 'yaml' "
+        "(choose from 'plain', 'json', 'csv', 'bfile')\n")),
+    ([], EXIT_USAGE, "", _TOP_USAGE + (
+        "arndt-carlitz: error: the following arguments are required: command\n")),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", _HELP_AND_USAGE_TEXT,
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_help_and_usage_text(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert capsys.readouterr() == (out, err)
+
+
+# the grammar's tokens, exact and not: every flag of the table, abbreviated,
+# with "=value", and values valid, out of range, negative, empty, padded
+# with whitespace or outside the choices
+_FLAGS = sorted({flag[0] for _, _, flags in cli.COMMANDS.values() for flag in flags})
+_NUMBERS = st.integers(-3, 1002).map(str)
+_VALUES = st.one_of(
+    _NUMBERS,
+    st.sampled_from(["", " 5", "7 ", "+5", "1_0", "abc", "1.5", "-0", "-1e3",
+                     "all", "even", "odd", "ALL", " odd", "brute", "gf", "slice",
+                     "plain", "json", "csv", "bfile", "yaml", "count", "--n"]),
+)
+_ODD_TOKENS = st.one_of(
+    st.sampled_from(["-h", "--help", "--", "--bogus", "-n", "--n=", "--ord", "--pa",
+                     "--me", "--for", "--dig", "--max", "--max-n=16"]),
+    st.tuples(st.sampled_from(_FLAGS), _VALUES).map("=".join),
+)
+
+
+@st.composite
+def _argvs(draw):
+    # a known command three times as often as a bad one
+    command = draw(st.sampled_from([*cli.COMMANDS] * 3 + ["coun", "bogus", "-h", "--", ""]))
+    own = cli.COMMANDS[command][2] if command in cli.COMMANDS else ()
+    argv = [command]
+    # flags of the command, each once, mostly with a value of their kind
+    for flag, _, rule, *_ in draw(st.lists(st.sampled_from(own), unique=True) if own
+                                  else st.just([])):
+        fitting = st.sampled_from(rule) if isinstance(rule, tuple) else _NUMBERS
+        argv += [flag, draw(fitting if draw(st.integers(0, 3)) else _VALUES)]
+    # then up to two stray tokens or pairs, anywhere after the command
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
+        stray = draw(st.tuples(st.sampled_from(_FLAGS), _VALUES).map(list)
+                     | _ODD_TOKENS.map(lambda token: [token]))
+        at = draw(st.integers(1, len(argv)))
+        argv[at:at] = stray
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_strict_parse_agrees_with_argparse(argv):
+    # the strict parse declines an argv, or returns argparse's namespace
+    strict = cli._parse_strict(argv)
+    if strict is None:
+        return
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            parsed = vars(cli.build_parser().parse_args(argv))
+    except SystemExit:  # argparse rejects what the strict parse accepted
+        parsed = None
+    assert vars(strict) == parsed
+
+
 def test_count_parity_odd(capsys):
     code, out, _ = run(capsys, "count", "--n", "8", "--parity", "odd", "--method", "brute")
     assert code == EXIT_OK
@@ -436,25 +591,35 @@ EXACT_MODULES = ("arndt_carlitz.gf", "arndt_carlitz.series", "fractions")
 PRIVATE_MODULES = ("arndt_carlitz._bivariate", "arndt_carlitz._verify")
 
 # runs each argv through cli.main in one fresh interpreter and prints, per
-# call, its exit code and which of the given modules are loaded after it
+# call, its exit code and which of the given modules are loaded after it.
+# The probe itself loads neither json nor argparse: its lists go in and
+# out as Python literals
 _PROBE = """
-import contextlib, io, json, sys
+import ast, contextlib, io, sys
 from arndt_carlitz.cli import main
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv)
-    print(json.dumps([code, [m for m in json.loads(sys.argv[2]) if m in sys.modules]]))
+modules = ast.literal_eval(sys.argv[2])
+for argv in ast.literal_eval(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    print(repr([code, [m for m in modules if m in sys.modules]]))
 """
 
 
 def probe_modules(*argvs, modules=NUMERIC_MODULES):
     # the child imports the package from this process's path: the tree under test
     done = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argvs), json.dumps(modules)],
+        [sys.executable, "-c", _PROBE, repr(argvs), repr(modules)],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
         capture_output=True, text=True, check=True, timeout=120,
     )
-    return [json.loads(line) for line in done.stdout.splitlines()]
+    return [ast.literal_eval(line) for line in done.stdout.splitlines()]
+
+
+# argparse (which loads gettext) parses only what the strict parse declines
+PARSER_MODULES = ("argparse", "gettext")
 
 
 def test_exact_commands_never_load_the_numeric_layer():
@@ -464,12 +629,15 @@ def test_exact_commands_never_load_the_numeric_layer():
     argvs += [["count", "--n", "12", "--method", m] for m in ("gf", "slice")]
     # the package's records are NamedTuples: dataclasses stays unloaded too,
     # as does fractions, which the package never imports; the slice path
-    # runs on dense rows, without the bivariate carrier
-    modules = NUMERIC_MODULES + PRIVATE_MODULES + ("dataclasses", "fractions")
+    # runs on dense rows, without the bivariate carrier; the json line is
+    # built without json
+    modules = (NUMERIC_MODULES + PRIVATE_MODULES + PARSER_MODULES
+               + ("dataclasses", "fractions", "json"))
     assert probe_modules(*argvs, modules=modules) == [[EXIT_OK, []]] * len(argvs)
     # brute force and listing build no series: one process without gf
     argvs = [["count", "--n", "12", "--method", "brute"], ["list", "--n", "8"]]
-    modules = NUMERIC_MODULES + EXACT_MODULES + PRIVATE_MODULES + ("dataclasses",)
+    modules = (NUMERIC_MODULES + EXACT_MODULES + PRIVATE_MODULES + PARSER_MODULES
+               + ("dataclasses",))
     assert probe_modules(*argvs, modules=modules) == [[EXIT_OK, []]] * len(argvs)
 
 
@@ -484,8 +652,15 @@ def test_numeric_commands_load_the_numeric_layer(argv):
               "verify": ["arndt_carlitz._pole", "mpmath",
                          "arndt_carlitz.gf", "arndt_carlitz.series",
                          "arndt_carlitz._verify"]}[argv[0]]
-    modules = NUMERIC_MODULES + EXACT_MODULES + PRIVATE_MODULES
+    modules = NUMERIC_MODULES + EXACT_MODULES + PRIVATE_MODULES + PARSER_MODULES
     assert probe_modules(argv, modules=modules) == [[EXIT_OK, loaded]]
+
+
+def test_malformed_command_line_loads_argparse():
+    # the strict parse declines --n 0, and argparse prints the usage error
+    assert probe_modules(["count", "--n", "0"], modules=PARSER_MODULES) == [
+        [EXIT_USAGE, list(PARSER_MODULES)]
+    ]
 
 
 def test_verify_as_main_module_imports_the_cli_only_once():
