@@ -36,15 +36,14 @@ def run_checks(max_n: int, order: int | None, cap: int) -> int:
             failures += 1
             print(f"FAIL: {name}{': ' + detail if detail else ''}")
 
-    golden = gf.series_bundle(11)
+    closed = gf.series_bundle(max(11, max_n))
     for parity, expected in (("even", _GOLDEN_EVEN), ("odd", _GOLDEN_ODD)):
-        got = getattr(golden, parity).coeffs
+        got = getattr(closed, parity).coeffs[:12]
         report(f"golden {parity} series z^0..z^11", got == expected, f"got {list(got)}")
     for (n, parity), expected in _GOLDEN_LISTINGS.items():
         got = set(compositions.list_arndt_carlitz(n, parity, cap))
         report(f"golden listing n={n} parity={parity}", got == expected, f"got {sorted(got)}")
 
-    closed = gf.series_bundle(max_n)
     sliced = gf.slice_bundle(max_n)
     all_match = True
     mismatch_detail = ""
@@ -61,17 +60,18 @@ def run_checks(max_n: int, order: int | None, cap: int) -> int:
     if order >= 24:
         from mpmath import mp, mpf
 
+        # the errors fall like (rho/0.92452)^n but oscillate, the nearest subdominant
+        # poles being a complex pair: bound the last one, with rho to ~order/7 digits
+        digits = max(20, order // 7)
         total = gf.total_series(order)
         samples = (order // 4, order // 2, 3 * order // 4)
-        with mp.workdps(35):
-            growth = 1 / asymptotics.find_rho(20)
-            errs = [
-                abs(mpf(total.coefficient(n + 1)) / total.coefficient(n) - growth)
-                for n in samples
-            ]
+        with mp.workdps(digits + asymptotics.GUARD_DIGITS):
+            growth = 1 / asymptotics.find_rho(digits)
+            errs = [abs(mpf(total.coefficient(n + 1)) / total.coefficient(n) - growth)
+                    for n in samples]
         report(
             f"growth-ratio convergence at n={samples}",
-            errs[0] > errs[1] > errs[2],
+            errs[2] < mpf(10) ** (-samples[2] / 10),
             f"errors {[mp.nstr(e, 4) for e in errs]}",
         )
     else:

@@ -525,31 +525,34 @@ def test_coefficient_ratios_approach_growth():
 
 
 def test_exact_coefficients_pin_the_pole_constants(capsys):
-    # The counts at n = 1000 and 1001 share no k-sum with the numeric path.
-    # Their pole-transfer error is ~1e-168 relative for the growth and
-    # ~1e-165 for the constants (|r(n)|^(1/n) settles near 1.078), so they
-    # confirm find_rho and amplitudes, and every digit that
-    # `asymptotics --digits 150` prints.
-    bundle = series_bundle(1001)
-    est = amplitudes(find_rho(110), 110)
-    assert cli.main(["asymptotics", "--digits", "150"]) == 0
-    printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    # The counts at n and n + 1 share no k-sum with the numeric path.  Their
+    # pole-transfer error falls like (rho/0.92452)^n, 0.168 digits per n
+    # (|r(n)|^(1/n) settles near 1.078): at n = 1000 it is ~1e-168 relative
+    # for the growth and ~1e-165 for the constants, at n = 1840 ~1e-309 and
+    # ~1e-306.  So each case confirms find_rho and amplitudes, and every
+    # digit that `asymptotics --digits 150` and `--digits 300` print, with a
+    # margin of at least 5 digits.
+    for n, printed_digits, est_digits, agree in ((1000, 150, 110, 105), (1840, 300, 310, 305)):
+        bundle = series_bundle(n + 1)
+        est = amplitudes(find_rho(est_digits), est_digits)
+        assert cli.main(["asymptotics", "--digits", str(printed_digits)]) == 0
+        printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
 
-    def exact(series, n):
-        return mpf(int(series.coefficient(n)))
+        def exact(series, k):
+            return mpf(int(series.coefficient(k)))
 
-    with mp.workdps(200):
-        growth = exact(bundle.total, 1001) / exact(bundle.total, 1000)
-        scale = growth ** 1000
-        for name, value, constant in (
-            ("rho", 1 / growth, est.rho),
-            ("growth", growth, est.growth),
-            ("c_even", exact(bundle.even, 1000) / scale, est.c_even),
-            ("c_odd", exact(bundle.odd, 1000) / scale, est.c_odd),
-            ("c_total", exact(bundle.total, 1000) / scale, est.c_total),
-        ):
-            assert abs(value / constant - 1) < mpf("1e-105"), name
-            assert mp.nstr(value, 150) == printed[name], name
+        with mp.workdps(printed_digits + 50):
+            growth = exact(bundle.total, n + 1) / exact(bundle.total, n)
+            scale = growth ** n
+            for name, value, constant in (
+                ("rho", 1 / growth, est.rho),
+                ("growth", growth, est.growth),
+                ("c_even", exact(bundle.even, n) / scale, est.c_even),
+                ("c_odd", exact(bundle.odd, n) / scale, est.c_odd),
+                ("c_total", exact(bundle.total, n) / scale, est.c_total),
+            ):
+                assert abs(value / constant - 1) < mpf(10) ** -agree, (n, name)
+                assert mp.nstr(value, printed_digits) == printed[name], (n, name)
 
 
 def nstr_oracle(n, wp, digits):

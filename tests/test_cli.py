@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arndt_carlitz import _pole, cli, gf
+from arndt_carlitz import _pole, asymptotics, cli, gf
 from arndt_carlitz.asymptotics import (
     GUARD_DIGITS,
     BracketError,
@@ -316,6 +317,31 @@ def test_verify_detects_injected_fault(capsys, monkeypatch, clean_gf_caches):
     assert code == EXIT_MISMATCH
     assert "FAIL" in out
     assert "verify: FAIL" in out
+
+
+@pytest.mark.parametrize("order", [28, 29, 450, 600, 1000])
+def test_verify_growth_check_passes_where_the_ratio_errors_oscillate(capsys, order):
+    # the subdominant pole pairs are complex, so the ratio errors at the
+    # three samples need not fall in turn (at order 28 they read 0.0074,
+    # 0.0096, 2.6e-5); the check bounds the last one by 10^(-n/10)
+    code, out, _ = run(capsys, "verify", "--max-n", "3", "--order", str(order))
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == "verify: PASS"
+
+
+@pytest.mark.parametrize("order", [300, 600])
+def test_verify_growth_check_rejects_a_root_off_by_1e_10(capsys, monkeypatch, order):
+    from mpmath import mpf
+
+    real = asymptotics.find_rho
+    monkeypatch.setattr(asymptotics, "find_rho", lambda digits: real(digits) * (1 + mpf("1e-10")))
+    code, out, _ = run(capsys, "verify", "--max-n", "3", "--order", str(order))
+    assert code == EXIT_MISMATCH
+    samples = (order // 4, order // 2, 3 * order // 4)
+    assert re.search(
+        rf"^FAIL: growth-ratio convergence at n={re.escape(str(samples))}: "
+        r"errors \['[^']+', '[^']+', '[^']+'\]$", out, re.MULTILINE)
+    assert out.splitlines()[-1] == "verify: FAIL (1 check(s) failed)"
 
 
 def test_verify_max_n_above_cap_is_usage_error(capsys):
