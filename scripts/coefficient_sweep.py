@@ -13,8 +13,8 @@ coefficient up to order 2000 when
     diff <(PYTHONPATH=src python scripts/coefficient_sweep.py) scripts/coefficient_digests.txt
 
 is empty.  A run takes about 6 s and 0.5 GB, most of both in the DP's
-tables (2-core machine), so it is kept out of the test suite, which
-checks the DP at order 500
+tables (2-core machine).  CI runs it as a step of its own; the test
+suite checks the DP only at order 500
 (`tests/test_gf.py::test_transfer_matrix_dp_equals_closed_forms_to_500`).
 """
 

@@ -2,11 +2,14 @@
 
 Resolved as arndt_carlitz.series.BivariateTruncatedSeries too.  gf runs
 the slice recurrence on dense int rows, so no command loads this module.
-Coefficients are ints, checked as in TruncatedSeries.
+The carrier is a sparse dict; + and - share one term-wise loop, and
+mul_univariate is the product with its factor lifted to u^0 terms.
+Coefficients are ints, checked as in TruncatedSeries, dropped terms too.
 """
 
 from __future__ import annotations
 
+from operator import add, sub
 from typing import Iterator
 
 from .series import TruncatedSeries, _int
@@ -30,10 +33,8 @@ class BivariateTruncatedSeries:
         for (p, q), v in coeffs.items():
             if p < 0 or q < 0:
                 raise ValueError(f"negative exponent pair ({p}, {q})")
-            if p > order or q > order:
-                continue
-            fv = _int(v)
-            if fv:
+            fv = _int(v)  # checked even where the term drops
+            if fv and p <= order and q <= order:
                 store[(p, q)] = fv
         self._coeffs = store
         self._order = order
@@ -45,12 +46,7 @@ class BivariateTruncatedSeries:
         """1/(1 - z^step * u) = sum_j z^(step*j) u^j."""
         if step < 1:
             raise ValueError(f"step must be >= 1, got {step}")
-        d = {}
-        j = 0
-        while step * j <= order and j <= order:
-            d[(step * j, j)] = 1
-            j += 1
-        return cls(d, order)
+        return cls({(step * j, j): 1 for j in range(order // step + 1)}, order)
 
     # -- accessors ---------------------------------------------------------
 
@@ -71,23 +67,21 @@ class BivariateTruncatedSeries:
                 f"bivariate order mismatch: {self._order} vs {other._order}"
             )
 
-    def __add__(self, other: "BivariateTruncatedSeries") -> "BivariateTruncatedSeries":
+    def _combine(self, other: object, op) -> "BivariateTruncatedSeries":
+        """Term-wise op(self, other): the one loop behind + and -."""
         if not isinstance(other, BivariateTruncatedSeries):
             return NotImplemented
         self._require_same_order(other)
         out = dict(self._coeffs)
         for k, v in other._coeffs.items():
-            out[k] = out.get(k, 0) + v
+            out[k] = op(out.get(k, 0), v)
         return BivariateTruncatedSeries(out, self._order)
 
+    def __add__(self, other: "BivariateTruncatedSeries") -> "BivariateTruncatedSeries":
+        return self._combine(other, add)
+
     def __sub__(self, other: "BivariateTruncatedSeries") -> "BivariateTruncatedSeries":
-        if not isinstance(other, BivariateTruncatedSeries):
-            return NotImplemented
-        self._require_same_order(other)
-        out = dict(self._coeffs)
-        for k, v in other._coeffs.items():
-            out[k] = out.get(k, 0) - v
-        return BivariateTruncatedSeries(out, self._order)
+        return self._combine(other, sub)
 
     def __mul__(self, other: "BivariateTruncatedSeries") -> "BivariateTruncatedSeries":
         if not isinstance(other, BivariateTruncatedSeries):
@@ -104,16 +98,9 @@ class BivariateTruncatedSeries:
         return BivariateTruncatedSeries(out, n)
 
     def mul_univariate(self, s: TruncatedSeries) -> "BivariateTruncatedSeries":
-        """Multiply by a series in z alone."""
-        n = self._order
-        out: dict[tuple[int, int], int] = {}
-        for (p1, q1), v1 in self._coeffs.items():
-            for i in range(min(s.order, n - p1) + 1):
-                c = s.coeffs[i]
-                if c:
-                    key = (p1 + i, q1)
-                    out[key] = out.get(key, 0) + v1 * c
-        return BivariateTruncatedSeries(out, n)
+        """Multiply by a series in z alone: the product with s as u^0 terms."""
+        lifted = {(i, 0): c for i, c in enumerate(s.coeffs)}
+        return self * BivariateTruncatedSeries(lifted, self._order)
 
     # -- substitution ------------------------------------------------------
 

@@ -8,13 +8,14 @@ defined in the private module _bivariate, loaded on first use, and
 resolves here by name.  Every series the package builds lies in Z[[z]],
 and every divisor has constant term 1, so coefficients are Python ints
 only: an int subclass such as bool is stored as its int value, and any
-other type raises TypeError.  Nothing in this module ever rounds.  Values
-are immutable after construction, so they are safe to share across
-threads and to cache.
+other type raises TypeError, also for a term past the order that drops.
+Nothing in this module ever rounds.  Values are immutable after
+construction, so they are safe to share across threads and to cache.
 
 Truncation convention: a series of order N stores coefficients of
 z^0 .. z^N inclusive; every operation truncates its result back to order N.
-Binary operations on different orders normalize to the smaller order.
+Binary operations on different orders normalize to the smaller order
+(+ and - zip the coefficients, so they stop at the shorter series).
 
 A product is one convolution per coefficient, c_k = sum(map(mul, a[:k+1],
 b_rev[n-k:])) with b reversed, so the inner loop runs in C; a quotient is
@@ -24,7 +25,7 @@ term must be +-1 (its own inverse, so the quotient stays in Z[[z]]).
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable
 
 
@@ -65,9 +66,12 @@ class TruncatedSeries:
 
     @classmethod
     def monomial(cls, exponent: int, order: int, coeff: int = 1) -> "TruncatedSeries":
+        if exponent < 0:
+            raise ValueError(f"negative exponent {exponent}")
         cs = [0] * (order + 1)
-        if 0 <= exponent <= order:
-            cs[exponent] = coeff  # checked with the rest by the constructor
+        coeff = _int(coeff)  # checked even where the term drops
+        if exponent <= order:
+            cs[exponent] = coeff
         return cls(cs)
 
     # -- accessors ---------------------------------------------------------
@@ -90,29 +94,20 @@ class TruncatedSeries:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _common_order(self, other: "TruncatedSeries") -> int:
-        return min(self.order, other.order)
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = self._common_order(other)
-        return TruncatedSeries(
-            [self._coeffs[i] + other._coeffs[i] for i in range(n + 1)]
-        )
+        return TruncatedSeries(map(add, self._coeffs, other._coeffs))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = self._common_order(other)
-        return TruncatedSeries(
-            [self._coeffs[i] - other._coeffs[i] for i in range(n + 1)]
-        )
+        return TruncatedSeries(map(sub, self._coeffs, other._coeffs))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = self._common_order(other)
+        n = min(self.order, other.order)
         a = self._coeffs[: n + 1]
         b = other._coeffs[n::-1]  # reversed, so b[n - k:] is b_k, ..., b_0
         return TruncatedSeries(
@@ -133,7 +128,7 @@ class TruncatedSeries:
             raise NonInvertibleSeriesError(
                 f"cannot divide by a series with constant term {inv0} (not +-1)"
             )
-        n = self._common_order(other)
+        n = min(self.order, other.order)
         support = [(i, b[i]) for i in range(1, n + 1) if b[i]]
         out = list(self._coeffs[: n + 1])
         for k in range(n + 1):

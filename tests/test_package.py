@@ -1,11 +1,14 @@
 """The package's public surface: the root exports exactly the entry points,
 every name in __all__ resolves, the building blocks resolve in their own
-modules, and importing the package loads only what is used."""
+modules, every function the benchmark's tracer wraps by name exists, and
+importing the package loads only what is used."""
 
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +62,31 @@ def test_building_blocks_resolve_in_their_modules(module):
     for name in MODULE_NAMES[module]:
         assert getattr(owner, name) is not None, name
         assert name not in arndt_carlitz.__all__, name
+
+
+def _trace_boot():
+    """perfbench/trace_boot.py, loaded from its file and not registered."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "trace_boot.py"
+    spec = importlib.util.spec_from_file_location("trace_boot_targets", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACE_BOOT = _trace_boot()
+
+
+@pytest.mark.parametrize("target", list(TRACE_BOOT.TARGETS))
+def test_every_tracer_target_resolves_to_a_function(target):
+    # the benchmark's tracer wraps each target by name, found as its
+    # install() finds it; a renamed or deleted function must fail here
+    module_name, qualname = target.split(":")
+    owner = importlib.import_module(f"{TRACE_BOOT.PACKAGE}.{module_name}")
+    *outer, attr = qualname.split(".")
+    for part in outer:
+        owner = getattr(owner, part, None)
+    original = vars(owner).get(attr) if owner is not None else None
+    assert callable(original), target
 
 
 def test_numeric_names_are_the_asymptotics_objects():

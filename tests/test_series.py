@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,14 @@ def test_mul_associative_and_distributive(a, b, c):
     assert lhs.truncate(n) == (a * b + a * c).truncate(n)
 
 
+@given(series_st(), series_st())
+def test_add_sub_of_unequal_orders_stop_at_the_smaller(a, b):
+    n = min(a.order, b.order)
+    for op in (operator.add, operator.sub):
+        want = [op(a.coeffs[i], b.coeffs[i]) for i in range(n + 1)]
+        assert op(a, b) == TruncatedSeries(want)
+
+
 @given(unit_series_st())
 def test_reciprocal_roundtrip(a):
     assert a * a.reciprocal() == TruncatedSeries.one(a.order)
@@ -240,6 +249,47 @@ def test_substitute_is_additive(a, b):
         assert (a - b).substitute_u(mode) == a.substitute_u(mode) - b.substitute_u(mode)
 
 
+# The carrier's +, - and mul_univariate against a plain-dict reference: the
+# terms of an equal-order pair (exponents may lie past the order and drop)
+# and factors s shorter and longer than the carrier.
+
+exponent_dict_st = st.dictionaries(
+    st.tuples(st.integers(0, 12), st.integers(0, 12)), coeffs_st, max_size=12
+)
+
+
+def _within(entries, order):
+    """The nonzero terms of entries that lie inside the truncation order."""
+    return {k: v for k, v in entries.items() if v and max(k) <= order}
+
+
+def _terms(carrier):
+    return {(p, q): v for p, q, v in carrier.terms()}
+
+
+@given(st.integers(0, 10), exponent_dict_st, exponent_dict_st)
+def test_bivariate_add_sub_match_a_dict_reference(order, x, y):
+    a, b = BivariateTruncatedSeries(x, order), BivariateTruncatedSeries(y, order)
+    for op in (operator.add, operator.sub):
+        want = {k: op(x.get(k, 0), y.get(k, 0)) for k in x.keys() | y.keys()}
+        assert _terms(op(a, b)) == _within(want, order)
+
+
+@given(
+    st.integers(0, 10),
+    exponent_dict_st,
+    st.lists(coeffs_st, min_size=1, max_size=13),  # s of order 0-12
+)
+def test_mul_univariate_matches_a_dict_reference(order, x, s):
+    want = {}
+    for (p, q), v in x.items():
+        for i, c in enumerate(s):
+            want[(p + i, q)] = want.get((p + i, q), 0) + v * c
+    got = BivariateTruncatedSeries(x, order).mul_univariate(TruncatedSeries(s))
+    assert got.order == order
+    assert _terms(got) == _within(want, order)
+
+
 # ------------------------------------------------------------------- edges
 
 
@@ -250,6 +300,11 @@ def test_floats_are_rejected():
         TruncatedSeries.monomial(1, 3, coeff=0.25)
     with pytest.raises(TypeError):
         BivariateTruncatedSeries({(0, 0): 0.5}, 2)
+    # a term past the order drops, but its coefficient is checked first
+    with pytest.raises(TypeError):
+        TruncatedSeries.monomial(7, 3, 0.5)
+    with pytest.raises(TypeError):
+        BivariateTruncatedSeries({(9, 0): 0.5}, 4)
 
 
 def test_fractions_are_rejected():
@@ -260,6 +315,15 @@ def test_fractions_are_rejected():
         TruncatedSeries.monomial(2, 4, Fraction(1, 2))
     with pytest.raises(TypeError):
         BivariateTruncatedSeries({(1, 1): Fraction(1, 2)}, 4)
+    with pytest.raises(TypeError):
+        TruncatedSeries.monomial(7, 3, Fraction(1, 2))
+    with pytest.raises(TypeError):
+        BivariateTruncatedSeries({(0, 9): Fraction(1, 2)}, 4)
+
+
+def test_monomial_rejects_a_negative_exponent():
+    with pytest.raises(ValueError):
+        TruncatedSeries.monomial(-1, 3)
 
 
 def test_hash_and_eq():
