@@ -4,12 +4,13 @@ Resolved as arndt_carlitz.series.BivariateTruncatedSeries too.  gf runs
 the slice recurrence on dense int rows, so no command loads this module.
 The carrier is a sparse dict; + and - share one term-wise loop, and
 mul_univariate is the product with its factor lifted to u^0 terms.
-Coefficients are ints, checked as in TruncatedSeries, dropped terms too.
+Coefficients are ints, checked as in TruncatedSeries, dropped terms too;
+an exponent or the order that is no integer raises TypeError.
 """
 
 from __future__ import annotations
 
-from operator import add, sub
+from operator import add, index, sub
 from typing import Iterator
 
 from .series import TruncatedSeries, _int
@@ -27,10 +28,12 @@ class BivariateTruncatedSeries:
     __slots__ = ("_coeffs", "_order")
 
     def __init__(self, coeffs: dict[tuple[int, int], int], order: int):
+        order = index(order)  # TypeError for a float, as for each exponent
         if order < 0:
             raise ValueError(f"order must be nonnegative, got {order}")
         store: dict[tuple[int, int], int] = {}
         for (p, q), v in coeffs.items():
+            p, q = index(p), index(q)
             if p < 0 or q < 0:
                 raise ValueError(f"negative exponent pair ({p}, {q})")
             fv = _int(v)  # checked even where the term drops

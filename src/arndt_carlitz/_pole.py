@@ -15,6 +15,7 @@ in ints, so the module never imports fractions.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .asymptotics import (
@@ -23,7 +24,6 @@ from .asymptotics import (
     DegeneratePoleError,
     DomainError,
     PrecisionError,
-    _debug,
 )
 
 _MAX_TERMS = 100_000
@@ -123,25 +123,19 @@ def nstr(n: int, wp: int, digits: int) -> str:
     return f"{text}e{'+' if exponent > 0 else ''}{exponent}"
 
 
-def _qstr(num: int, den: int, digits: int) -> str:
-    """str of the mpf nearest to num/den (den > 0) at `digits` digits, as mpmath prints it."""
-    if not num:
-        return "0.0"
-    wp = _dps_to_prec(digits) - _mag(abs(num), den)
-    # num/den * 2^wp rounded to the nearest int, halves to even as round() does
-    d = den << max(-wp, 0)
-    q, r = divmod(num << max(wp, 0), d)
-    if 2 * r > d or 2 * r == d and q % 2:
-        q += 1
-    return nstr(q, wp, digits)
+def _debug(msg: str, *args) -> None:
+    """A DEBUG record of the `asymptotics` logger, made only if logging is loaded.
+
+    A handler can only be configured by code that imported logging, so
+    when it is not loaded no one can receive the record.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("arndt_carlitz.asymptotics").debug(msg, *args)
 
 
-def _stuck(value_threshold: tuple[int, int], dps: int) -> PrecisionError:
-    """The error of a pass whose terms cannot fall below value_threshold (num, den)."""
-    return PrecisionError(
-        f"tail of the k-sums did not reach {_qstr(*value_threshold, dps)} "
-        f"within {_MAX_TERMS} terms"
-    )
+# the error of a pass whose stop rule cannot fire
+_STUCK = f"tail of the k-sums did not fall below tol within {_MAX_TERMS} terms"
 
 
 def _never_small(n: int, w: int, value_threshold: tuple[int, int]) -> bool:
@@ -255,7 +249,7 @@ def ksums(n: int, w: int, dps: int, tol=None) -> KSums:
     gap = (1 << 2 * w) - n * n  # 1 - x^2 = gap/2^(2w); thresholds are exact (num, den)
     value_threshold = (tol_num * gap, tol_den << 2 * w)
     if _never_small(n, w, value_threshold):
-        raise _stuck(value_threshold, dps)
+        raise PrecisionError(_STUCK)
     slope_threshold = (tol_num * gap * gap * n, tol_den << 5 * w)  # compared with x*term'
     inv_gap = (1 << w) / ((1 << w) - n)
     # G of the docstring, one bit up for the float rounding
@@ -280,7 +274,7 @@ def ksums(n: int, w: int, dps: int, tol=None) -> KSums:
     while small_run < 2:
         k += 1
         if k > _MAX_TERMS:
-            raise _stuck(value_threshold, dps)
+            raise PrecisionError(_STUCK)
         p_even = power * xf >> wp
         p_next = power * xf2 >> wp
         inv_even = one_squared // (one - p_even)
@@ -367,15 +361,9 @@ def find_rho(digits: int) -> tuple[int, int, KSums]:
     working = digits + GUARD_DIGITS
     ladder = _ladder(working)
     w = _dps_to_prec(working)
-    passes = newton_steps = bisection_steps = 0
-
-    def evaluate(x: int, dps: int) -> KSums:
-        nonlocal passes
-        passes += 1
-        return ksums(x, w, dps)
-
+    newton_steps = bisection_steps = 0
     a, b = (_div(num << w, den) for num, den in BRACKET)
-    fa, fb = evaluate(a, ladder[0]), evaluate(b, ladder[0])
+    fa, fb = ksums(a, w, ladder[0]), ksums(b, w, ladder[0])
     positive = fa.denominator > 0
     if positive == (fb.denominator > 0) or not (
         _exceeds(fa.denominator, fa.wp, ladder[0]) and _exceeds(fb.denominator, fb.wp, ladder[0])
@@ -389,7 +377,7 @@ def find_rho(digits: int) -> tuple[int, int, KSums]:
     x = (a + b) >> 1
     for dps in ladder:
         for _ in range(_MAX_STEPS_PER_RUNG):
-            sums = evaluate(x, dps)
+            sums = ksums(x, w, dps)
             f, slope = sums.denominator, sums.derivative
             if _exceeds(f, sums.wp, dps):
                 if (f > 0) == positive:
@@ -420,11 +408,12 @@ def find_rho(digits: int) -> tuple[int, int, KSums]:
                     f"Newton refinement did not converge to {digits} digits in "
                     f"[{nstr(a, w, working)}, {nstr(b, w, working)}]"
                 )
+    # two bracket passes, then one pass per Newton or bisection step
     _debug(
         "find_rho digits=%d ladder=%s passes=%d newton=%d bisection=%d "
-        "k_terms=%d |dx|=%s",
-        digits, ladder, passes, newton_steps, bisection_steps, sums.terms,
-        nstr(dx, w, 3),
+        "k_terms=%d |dx|<2^%d",
+        digits, ladder, 2 + newton_steps + bisection_steps, newton_steps,
+        bisection_steps, sums.terms, dx.bit_length() - w,
     )
     return x, w, sums
 
@@ -442,8 +431,8 @@ def amplitudes(sums: KSums, digits: int) -> tuple[tuple[int, ...], int]:
     wp, rho, slope = sums.wp, sums.x, sums.derivative
     residual = abs(sums.denominator)
     _debug(
-        "amplitudes digits=%d |D(rho)|=%s k_terms=%d",
-        digits, nstr(residual, wp, 3), sums.terms,
+        "amplitudes digits=%d |D(rho)|<2^%d k_terms=%d",
+        digits, residual.bit_length() - wp, sums.terms,
     )
     if _exceeds(residual, wp, digits):
         raise DomainError(

@@ -27,14 +27,14 @@ mpf appears only at the public boundary: `find_rho`, `amplitudes`,
 mpf((n, -w)) around the int core in the private module `_pole`, which
 loads on first use.  The `asymptotics` command calls that core alone: it
 takes the constants from the pass that confirmed `find_rho`'s root and
-prints with `nstr`.  This module never imports logging (see `_debug`), gf
-is imported only by `denominator_derivative_via_series`, and the package
-never imports fractions, so that command runs on ints from argv to stdout.
+prints with `nstr`.  Neither module imports logging (see `_pole._debug`),
+gf is imported only by `denominator_derivative_via_series`, and the
+package never imports fractions, so that command runs on ints from argv
+to stdout.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -74,17 +74,6 @@ class AsymptoticEstimate(NamedTuple):
     c_odd: mpf
     c_total: mpf
     precision_digits: int
-
-
-def _debug(msg: str, *args) -> None:
-    """A DEBUG record of this module's logger, made only if logging is loaded.
-
-    A handler can only be configured by code that imported logging, so
-    when it is not loaded no one can receive the record.
-    """
-    logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger(__name__).debug(msg, *args)
 
 
 def _dyadic(v: mpf) -> tuple[int, int]:

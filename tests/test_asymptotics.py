@@ -166,6 +166,12 @@ def test_ksums_fail_fast_where_they_cannot_converge(x_str):
         assert time.perf_counter() - start < 1
 
 
+def test_stuck_pass_at_1100_digits_is_a_precision_error():
+    # the threshold 1e-1105 is below the range of nstr: the message prints no value
+    with pytest.raises(PrecisionError, match="did not fall below tol within 100000 terms"):
+        eval_denominator("0.9999", dps=1100)
+
+
 def test_ksums_fail_fast_next_to_one():
     # 1 - x = 2^-1100 is below the smallest float; the check before the
     # pass reads the ints, and no width that grows like 1/(1-x) is formed
@@ -263,36 +269,6 @@ def test_mag_is_the_least_exponent_above_the_ratio(num, den):
     assert Fraction(2) ** (m - 1) <= Fraction(num, den) < Fraction(2) ** m
 
 
-def qstr_oracle(num, den, digits):
-    # round() of the exact Fraction num/den * 2^wp: nearest, halves to even
-    if not num:
-        return "0.0"
-    wp = _pole._dps_to_prec(digits) - _pole._mag(abs(num), den)
-    return _pole.nstr(round(Fraction(num, den) * Fraction(2) ** wp), wp, digits)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.integers(-(2 ** 300), 2 ** 300),
-    st.integers(1, 2 ** 300),
-    st.integers(1, 60),
-)
-@example(0, 3, 5)
-# num/den * 2^wp is an exact half, here 70.5 and 83.5 at 1 digit, whose
-# neighbours print differently: halves up or down would change the text
-@example(141, 256, 1)
-@example(-141, 256, 1)
-@example(167, 256, 1)
-@example(-167, 256, 1)
-@example(2 ** 20 + 53, 2 ** 21, 5)
-@example(2 ** 20 + 11, 2 ** 21, 5)
-@example(2 ** 70 + 129, 2 ** 71, 20)
-@example(-(2 ** 70 + 11), 2 ** 71, 20)
-def test_qstr_rounds_the_exact_ratio_as_fraction_does(num, den, digits):
-    # the error messages print exact ratios; _qstr rounds them in ints
-    assert _pole._qstr(num, den, digits) == qstr_oracle(num, den, digits)
-
-
 def test_find_rho_rejects_signless_bracket(monkeypatch):
     # D > 0 at both ends of (0.10, 0.20)
     monkeypatch.setattr(_pole, "BRACKET", ((1, 10), (1, 5)))
@@ -339,6 +315,14 @@ def test_find_rho_hundred_digits():
 )
 def test_find_rho_stays_in_bracket(bracket, monkeypatch, caplog):
     monkeypatch.setattr(_pole, "BRACKET", bracket)
+    passes = []
+    real = _pole.ksums
+
+    def counting(*args, **kwargs):
+        passes.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_pole, "ksums", counting)
     with caplog.at_level(logging.DEBUG, logger=asymptotics.__name__):
         rho = find_rho(25)
     with mp.workdps(50):
@@ -346,10 +330,14 @@ def test_find_rho_stays_in_bracket(bracket, monkeypatch, caplog):
         assert mpf(lo_num) / lo_den < rho < mpf(hi_num) / hi_den
         assert abs(rho - mpf(RHO)) < mpf("1e-30")
     (record,) = caplog.records
+    fields = dict(f.split("=") for f in record.getMessage().split() if f.count("=") == 1)
+    # the logged passes = 2 + newton + bisection are the calls of ksums made
+    assert int(fields["passes"]) == len(passes)
+    assert len(passes) == 2 + int(fields["newton"]) + int(fields["bisection"])
     if bracket[0] == (2, 5):
         # D is concave here: the Newton step from the midpoint 0.514 lands
         # beyond 0.628, so the safeguard must bisect
-        assert "bisection=0 " not in record.getMessage()
+        assert fields["bisection"] != "0"
 
 
 def test_find_rho_pass_budget(monkeypatch):
@@ -390,10 +378,24 @@ def test_diagnostics_are_debug_records(caplog):
         amplitudes(find_rho(20), 20)
     assert [r.levelno for r in caplog.records] == [logging.DEBUG, logging.DEBUG]
     rho_msg, amp_msg = (r.getMessage() for r in caplog.records)
-    for field in ("ladder=[18, 35]", "passes=", "newton=", "bisection=", "k_terms=", "|dx|="):
+    for field in ("ladder=[18, 35]", "passes=", "newton=", "bisection=", "k_terms=", "|dx|<2^-"):
         assert field in rho_msg
-    for field in ("|D(rho)|=", "k_terms="):
+    for field in ("|D(rho)|<2^-", "k_terms="):
         assert field in amp_msg
+
+
+def test_amplitudes_past_1040_digits(caplog):
+    # |dx| and |D(rho)| fall below 2^-3501, where nstr stops: the records
+    # carry binary exponents of the ints, so they print at any size
+    with caplog.at_level(logging.DEBUG, logger=asymptotics.__name__):
+        est = amplitudes(find_rho(1100), 1100)
+    with mp.workdps(130):
+        assert abs(est.rho - mpf(RHO_120)) < mpf("1e-118")
+        assert abs(est.c_even - mpf(C_EVEN_120)) < mpf("1e-118")
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG, logging.DEBUG]
+    rho_msg, amp_msg = (r.getMessage() for r in caplog.records)
+    assert "find_rho digits=1100 " in rho_msg and "|dx|<2^-" in rho_msg
+    assert "amplitudes digits=1100 " in amp_msg and "|D(rho)|<2^-" in amp_msg
 
 
 def test_tabulated_rho_is_only_an_eight_digit_root():

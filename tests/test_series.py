@@ -345,6 +345,33 @@ def test_bivariate_negative_exponents_rejected():
         BivariateTruncatedSeries({}, -1)
 
 
+@pytest.mark.parametrize(
+    "coeffs, order",
+    [
+        ({(1.5, 0): 1}, 4),
+        ({(0, 2.0): 1}, 4),
+        ({(9.0, 0): 1}, 4),  # past the order, checked before it drops
+        ({(Fraction(1), 0): 1}, 4),
+        ({(1, 1): 1}, 2.5),
+        ({}, 2.0),
+        ({}, "3"),
+    ],
+    ids=["z-float", "u-float", "dropped-float", "fraction", "order-float", "order-whole-float",
+         "order-str"],
+)
+def test_bivariate_non_int_exponents_and_orders_rejected(coeffs, order):
+    # a float exponent once reached substitute_u as a list index
+    with pytest.raises(TypeError):
+        BivariateTruncatedSeries(coeffs, order)
+
+
+def test_bivariate_int_subclass_exponents_are_stored_as_int():
+    s = BivariateTruncatedSeries({(True, 0): 2}, True)
+    assert s == BivariateTruncatedSeries({(1, 0): 2}, 1)
+    assert s.substitute_u("one").coeffs == (0, 2)
+    assert all(type(e) is int for term in s.terms() for e in term) and type(s.order) is int
+
+
 def test_bivariate_terms_past_the_order_drop():
     # a z-power or a u-power above the order is truncated away
     s = BivariateTruncatedSeries({(1, 1): 3, (5, 0): 1, (0, 5): 1}, 4)
