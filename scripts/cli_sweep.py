@@ -1,23 +1,23 @@
-"""Run 307 command lines through `cli.main` and print the sha256 of each outcome.
+"""Run 1143 command lines through `cli.main` and print the sha256 of each outcome.
 
 One line per call: the hex digest of its exit code, stdout and stderr,
-then the argv.  The calls are `asymptotics --digits` 0..160, 199, 250,
-333, 500, 750, 999, 1000, 1001 and the default; every `series` parity x
-format pair at orders 0, 11, 96, 224 and the default; `count` with each
-method and parity at n = 1, 5, 12, 17, 24, and with `--method gf|slice`
-alone at n = 24, 44, 300; `list` at n = 1, 7, 8, 10; `verify` with
-defaults, at `--max-n 12|14|16 --order 24|48|96`, `--max-n 5 --order 10`
-and `--max-n 40` (exit 2); `--help` of the parser and of each command;
-no arguments, `count --n abc`, an unknown command and the cap error
-`count --n 31 --method brute` (exit 3).  Everything runs in this
-process with COLUMNS=80 (argparse wraps its help to it) and
-ARNDT_CARLITZ_CAP unset; argparse's exits are caught as SystemExit.
-The committed output of a known-good tree is `scripts/cli_digests.txt`;
-a change keeps every command's output when
+then the argv.  The calls are `asymptotics --digits d` for every d from 0
+to MAX_DIGITS + 1 and the default; every `series` parity x format pair at
+orders 0, 11, 96, 224 and the default, and each parity's b-file at order
+2000; `count` with each method and parity at n = 1, 5, 12, 17, 24, and
+with `--method gf|slice` alone at n = 24, 44, 300; `list` at n = 1, 7, 8,
+10; `verify` with defaults, at `--max-n 12|14|16 --order 24|48|96`,
+`--max-n 5 --order 10` and `--max-n 40` (exit 2); `--help` of the parser
+and of each command; no arguments, `count --n abc`, an unknown command and
+the cap error `count --n 31 --method brute` (exit 3).  Everything runs in
+this process with COLUMNS=80 (argparse wraps its help to it) and
+ARNDT_CARLITZ_CAP unset; argparse's exits are caught as SystemExit.  The
+committed output of a known-good tree is `scripts/cli_digests.txt`; a
+change keeps every command's output when
 
     diff <(PYTHONPATH=src python scripts/cli_sweep.py) scripts/cli_digests.txt
 
-is empty.  A run takes about 6 s (2-core machine); CI runs it on one
+is empty.  A run takes 4 to 5 minutes (2-core machine); CI runs it on one
 Python version, since argparse's help text differs between versions.
 """
 
@@ -34,15 +34,15 @@ from arndt_carlitz.compositions import PARITIES  # noqa: E402
 
 
 def calls() -> list[list[str]]:
-    """The 307 argv, in the order the script prints them."""
-    argvs = [["asymptotics", "--digits", str(d)]
-             for d in [*range(161), 199, 250, 333, 500, 750, 999, 1000, 1001]]
+    """The 1143 argv, in the order the script prints them."""
+    argvs = [["asymptotics", "--digits", str(d)] for d in range(cli.MAX_DIGITS + 2)]
     argvs.append(["asymptotics"])
     for order in ["0", "11", "96", "224", None]:
         for parity in PARITIES:
             for fmt in ["plain", "json", "csv", "bfile"]:
                 argv = ["series", "--parity", parity, "--format", fmt]
                 argvs.append(argv + ["--order", order] if order else argv)
+    argvs += [["series", "--order", "2000", "--parity", p, "--format", "bfile"] for p in PARITIES]
     for n in ["1", "5", "12", "17", "24"]:
         for method in ["brute", "gf", "slice"]:
             for parity in PARITIES:

@@ -98,6 +98,8 @@ def _ksums(x, tol=None, dps: int = DEFAULT_DPS):
 
     from . import _pole
 
+    if dps < 1:
+        raise ValueError(f"dps must be >= 1, got {dps}")
     with mp.workdps(dps):
         n, w = _dyadic(_check_domain(x))
         if tol is not None:
@@ -135,6 +137,8 @@ def find_rho(digits: int = 20) -> mpf:
 
 def denominator_derivative(x, digits: int = 20) -> mpf:
     """D'(x), differentiated term by term in the k-sums, at digits + 15 working."""
+    if digits < 1:
+        raise ValueError(f"digits must be >= 1, got {digits}")
     return _ksums(x, None, digits + GUARD_DIGITS).derivative
 
 
@@ -148,6 +152,8 @@ def denominator_derivative_via_series(x, order: int = 250, dps: int = DEFAULT_DP
 
     from .gf import denominator_series
 
+    if dps < 1:
+        raise ValueError(f"dps must be >= 1, got {dps}")
     with mp.workdps(dps):
         xv = _check_domain(x)
         return mp.polyval(denominator_series(order).derivative().coeffs[::-1], xv)
@@ -162,6 +168,8 @@ def amplitudes(rho, digits: int = 20) -> AsymptoticEstimate:
 
     from . import _pole
 
+    if digits < 1:
+        raise ValueError(f"digits must be >= 1, got {digits}")
     with mp.workdps(digits + GUARD_DIGITS):
         sums = _pole.ksums(*_dyadic(_check_domain(rho)), digits + GUARD_DIGITS)
         values, wp = _pole.amplitudes(sums, digits)

@@ -170,7 +170,7 @@ class TruncatedSeries:
         return hash(self._coeffs)
 
     def __repr__(self) -> str:
-        return f"TruncatedSeries({[str(c) for c in self._coeffs]})"
+        return f"TruncatedSeries({list(self._coeffs)})"
 
 
 def __getattr__(name: str):

@@ -245,6 +245,20 @@ def test_find_rho_input_validation():
         find_rho(9)
 
 
+@pytest.mark.parametrize("digits", [0, -16, -20])
+def test_precision_below_one_digit_is_rejected(digits):
+    # mp.workdps would still run below one digit: c_even came out 0.5 at
+    # digits = -16, D'(0.5) -2.0 at digits = -20 and D(0.5) 1.0 at dps = 0
+    with pytest.raises(ValueError, match=f"digits must be >= 1, got {digits}"):
+        amplitudes(find_rho(20), digits)
+    with pytest.raises(ValueError, match=f"digits must be >= 1, got {digits}"):
+        denominator_derivative("0.5", digits)
+    with pytest.raises(ValueError, match=f"dps must be >= 1, got {digits}"):
+        eval_denominator("0.5", dps=digits)
+    with pytest.raises(ValueError, match=f"dps must be >= 1, got {digits}"):
+        denominator_derivative_via_series("0.5", dps=digits)
+
+
 def test_public_find_rho_is_the_int_core_root():
     # both layers round the same BRACKET ends and run the same iteration
     for digits in (10, 20, 100):

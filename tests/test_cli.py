@@ -285,14 +285,17 @@ def test_asymptotics_makes_no_pass_beyond_find_rho(capsys, monkeypatch):
 
 
 def test_asymptotics_matches_committed_digests(capsys):
-    # scripts/digit_sweep.py checks every --digits against this file; these
-    # span the ladder's shapes and the benchmark's range
-    path = Path(__file__).resolve().parents[1] / "scripts" / "asymptotics_digests.txt"
-    committed = dict(line.split() for line in path.read_text().splitlines())
+    # scripts/cli_sweep.py checks every --digits from 0 to 1001 against this
+    # file, hashing the outcome the same way; these span the ladder's shapes
+    # and the benchmark's range
+    path = Path(__file__).resolve().parents[1] / "scripts" / "cli_digests.txt"
+    committed = {argv: digest for digest, _, argv in
+                 (line.partition(" ") for line in path.read_text().splitlines())}
     for digits in ("1", "5", "20", "27", "50", "73", "80", "111", "300"):
-        code, out, _ = run(capsys, "asymptotics", "--digits", digits)
+        code, out, err = run(capsys, "asymptotics", "--digits", digits)
         assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest() == committed[digits], digits
+        digest = hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()
+        assert digest == committed[f"asymptotics --digits {digits}"], digits
 
 
 # ----------------------------------------------------------------- verify

@@ -2,7 +2,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from arndt_carlitz.series import (
     BivariateTruncatedSeries,
@@ -129,6 +129,12 @@ def test_truncate():
 def test_empty_series_is_rejected():
     with pytest.raises(ValueError):
         TruncatedSeries([])
+
+
+@given(series_st())
+@example(TruncatedSeries([0, 1, -2]))
+def test_repr_evaluates_to_an_equal_series(s):
+    assert eval(repr(s)) == s
 
 
 @given(series_st(), series_st())
