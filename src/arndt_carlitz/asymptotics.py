@@ -182,6 +182,8 @@ def asymptotic_count(n: int, est: AsymptoticEstimate, parity: str = "total") -> 
 
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    if est.precision_digits < 1:
+        raise ValueError(f"precision_digits must be >= 1, got {est.precision_digits}")
     amplitude = {
         "even": est.c_even,
         "odd": est.c_odd,

@@ -172,6 +172,16 @@ def test_stuck_pass_at_1100_digits_is_a_precision_error():
         eval_denominator("0.9999", dps=1100)
 
 
+def test_ksums_backstop_stops_a_pass_past_the_term_cap(monkeypatch):
+    # with the check before the pass switched off, the loop's own cap
+    # raises: x = 0.9 needs far more than 10 terms at 20 digits
+    monkeypatch.setattr(_pole, "_never_small", lambda *args: False)
+    monkeypatch.setattr(_pole, "_MAX_TERMS", 10)
+    n, w = asymptotics._dyadic(mpf("0.9"))
+    with pytest.raises(PrecisionError, match="did not fall below tol"):
+        _pole.ksums(n, w, 20)
+
+
 def test_ksums_fail_fast_next_to_one():
     # 1 - x = 2^-1100 is below the smallest float; the check before the
     # pass reads the ints, and no width that grows like 1/(1-x) is formed
@@ -248,9 +258,14 @@ def test_find_rho_input_validation():
 @pytest.mark.parametrize("digits", [0, -16, -20])
 def test_precision_below_one_digit_is_rejected(digits):
     # mp.workdps would still run below one digit: c_even came out 0.5 at
-    # digits = -16, D'(0.5) -2.0 at digits = -20 and D(0.5) 1.0 at dps = 0
+    # digits = -16, D'(0.5) -2.0 at digits = -20, D(0.5) 1.0 at dps = 0,
+    # and from an estimate built by hand, 2.0 for n = 3 (not 1.61328...)
+    # at precision_digits = -20
     with pytest.raises(ValueError, match=f"digits must be >= 1, got {digits}"):
         amplitudes(find_rho(20), digits)
+    est = amplitudes(find_rho(20), 20)._replace(precision_digits=digits)
+    with pytest.raises(ValueError, match=f"precision_digits must be >= 1, got {digits}"):
+        asymptotic_count(3, est)
     with pytest.raises(ValueError, match=f"digits must be >= 1, got {digits}"):
         denominator_derivative("0.5", digits)
     with pytest.raises(ValueError, match=f"dps must be >= 1, got {digits}"):

@@ -82,11 +82,18 @@ def test_count_gf_divides_once_per_parity(capsys, monkeypatch, parity, line):
 
 
 def test_count_methods_agree(capsys):
-    lines = set()
-    for method in ("brute", "gf", "slice"):
-        _, out, _ = run(capsys, "count", "--n", "11", "--method", method)
-        lines.add(out)
-    assert lines == {"n=11 even=30 odd=36 total=66\n"}
+    # brute force only where it is quick; the two exact derivations, slice
+    # recurrence and closed forms, also at n = 96
+    for n, methods, line in [
+        (11, ("brute", "gf", "slice"), "n=11 even=30 odd=36 total=66\n"),
+        (96, ("gf", "slice"), "n=96 even=4606755400571272866 "
+                              "odd=5481852735331509212 total=10088608135902782078\n"),
+    ]:
+        lines = {parity: {run(capsys, "count", "--n", str(n), "--method", method,
+                              "--parity", parity)[1] for method in methods}
+                 for parity in ("all", "even", "odd")}
+        assert lines["all"] == {line}
+        assert all(len(outs) == 1 for outs in lines.values()), lines
 
 
 # ----------------------------------------------------------------- series
@@ -152,16 +159,18 @@ def test_series_bfile(capsys):
 
 
 def test_series_formats_carry_identical_content(capsys):
-    _, plain, _ = run(capsys, "series", "--order", "9")
-    _, as_json, _ = run(capsys, "series", "--order", "9", "--format", "json")
-    _, csv_text, _ = run(capsys, "series", "--order", "9", "--format", "csv")
-    _, bfile, _ = run(capsys, "series", "--order", "9", "--format", "bfile")
-    from_plain = [int(t) for t in plain.split()]
-    from_json = json.loads(as_json)["coefficients"]
-    from_csv = [int(line.split(",")[1]) for line in csv_text.splitlines()[1:]]
-    from_bfile = [int(line.split()[1]) for line in bfile.splitlines()]
-    assert from_plain == from_json == from_csv
-    assert from_bfile == from_plain[1:]  # bfile starts at n=1 by convention
+    for order in ("9", "224"):
+        _, plain, _ = run(capsys, "series", "--order", order)
+        _, as_json, _ = run(capsys, "series", "--order", order, "--format", "json")
+        _, csv_text, _ = run(capsys, "series", "--order", order, "--format", "csv")
+        _, bfile, _ = run(capsys, "series", "--order", order, "--format", "bfile")
+        from_plain = [int(t) for t in plain.split()]
+        from_json = json.loads(as_json)["coefficients"]
+        from_csv = [int(line.split(",")[1]) for line in csv_text.splitlines()[1:]]
+        from_bfile = [int(line.split()[1]) for line in bfile.splitlines()]
+        assert len(from_plain) == int(order) + 1
+        assert from_plain == from_json == from_csv
+        assert from_bfile == from_plain[1:]  # bfile starts at n=1 by convention
 
 
 def test_series_deterministic(capsys):
@@ -780,6 +789,19 @@ def test_each_result_is_written_once(capsys, monkeypatch, argv):
     assert main(argv) == EXIT_OK
     assert len(raw.writes) <= 1
     assert b"".join(raw.writes).decode() == expected
+
+
+def test_full_raw_stdout_is_a_blocking_error(monkeypatch):
+    # a raw non-blocking stdout returns None from write when it is full:
+    # that is no count of bytes written, and the write must not go on
+    class FullRaw(RecordingRaw):
+        def write(self, data):
+            return None
+
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(FullRaw(), encoding="utf-8",
+                                                        write_through=True))
+    with pytest.raises(BlockingIOError, match="stdout is full"):
+        main(["count", "--n", "8"])
 
 
 # --------------------------------------------------------- process entry

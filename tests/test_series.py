@@ -344,6 +344,18 @@ def test_hash_and_eq():
     assert x != BivariateTruncatedSeries({(1, 1): 2}, 5)
 
 
+@pytest.mark.parametrize("s", [
+    TruncatedSeries([1, 2]), BivariateTruncatedSeries({(1, 1): 2}, 4),
+], ids=["univariate", "bivariate"])
+def test_an_int_operand_is_not_a_series(s):
+    # each operator returns NotImplemented, so Python raises TypeError
+    # (and == falls back to identity) instead of treating 1 as a series
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(s, 1)
+    assert (s == 1) is False
+
+
 def test_bivariate_negative_exponents_rejected():
     with pytest.raises(ValueError):
         BivariateTruncatedSeries({(-1, 0): 1}, 4)
