@@ -3,13 +3,13 @@
 Everything here runs on Python ints in fixed point, an int n standing for
 n/2^w: `ksums` is the fused pass over the k-sums, `find_rho` the
 safeguarded Newton iteration for the zero of D, `amplitudes` the residue
-constants, and `nstr` prints a value digit for digit as mpmath's nstr
-does.  The public mpf functions of `asymptotics` convert around this
-core, and the `asymptotics` command calls it directly, without mpmath:
-`amplitudes` reads the pass that confirmed `find_rho`'s root.  The
-module is imported on first use: commands that never reach the numeric
-layer do not load it.  Exact rationals are int pairs (num, den), rounded
-in ints, so the module never imports fractions.
+constants, and `nstr` prints a value rounded exactly, in mpmath's layout.
+The public mpf functions of `asymptotics` convert around this core, and
+the `asymptotics` command calls it directly, without mpmath: `amplitudes`
+reads the pass that confirmed `find_rho`'s root.  The module is imported
+on first use: commands that never reach the numeric layer do not load
+it.  Exact rationals are int pairs (num, den), rounded in ints, so the
+module never imports fractions.
 """
 
 from __future__ import annotations
@@ -79,48 +79,36 @@ def _exceeds(f: int, wp: int, dps: int) -> bool:
 
 
 def nstr(n: int, wp: int, digits: int) -> str:
-    """mpmath 1.3's nstr(mpf((n, -wp)), digits) with default options, digits >= 1.
+    """n/2^wp rounded half up to `digits` >= 1 significant digits, exactly.
 
-    A port of its to_str and to_digits_exp: the value is cut (floored) to
-    bitprec bits, which decides near-ties, turned into about digits + 3
-    decimal digits rounded down, and those are rounded half up to
-    `digits`.  Values of 2^3500 or more, or below 2^-3501, raise
-    ValueError (mpmath scales those by a power of ten first).
+    Laid out as mpmath's nstr lays out an mpf: fixed point while
+    min(-(digits // 3), -5) < exponent < digits, else e-notation; trailing
+    zeros go, a bare "x." becomes "x.0", and 0 prints as "0.0".  Ints only,
+    so a value of any size prints.
     """
     if n < 0:
         return "-" + nstr(-n, wp, digits)
     if not n:
         return "0.0"
-    exp_from_1 = n.bit_length() - wp
-    if abs(exp_from_1) > 3500:
-        raise ValueError(f"value 2^{exp_from_1} is out of range for nstr")
-    bitprec = int((digits + 3) * math.log(10, 2)) + 10
-    fixprec = max(bitprec - exp_from_1, 0)
-    fixdps = int(fixprec / math.log(10, 2) + 0.5)
-    shift = fixprec - wp
-    fixed = n << shift if shift >= 0 else n >> -shift
-    text = str(fixed * 10 ** fixdps >> fixprec)
-    exponent = len(text) - fixdps - 1
-    if len(text) > digits and text[digits] in "56789":
-        text = str(int(text[:digits]) + 1)
-        if len(text) > digits:  # 99...9 rounded up to 100...0
-            text = text[:digits]
+    top = 10 ** digits
+    exponent = (n.bit_length() - wp) * 1233 >> 12  # log10(2) ~ 1233/2^12
+    while True:  # settle 10^exponent <= n/2^wp < 10^(exponent+1)
+        scale = digits - 1 - exponent
+        num, den = n * 10 ** max(scale, 0) << max(-wp, 0), 10 ** max(-scale, 0) << max(wp, 0)
+        if num >= top * den:
             exponent += 1
-    else:
-        text = text[:digits]
+        elif 10 * num < top * den:
+            exponent -= 1
+        else:
+            break
+    text = str((2 * num + den) // (2 * den))
+    if len(text) > digits:  # 99...9 rounded up to 100...0
+        text, exponent = text[:digits], exponent + 1
     split = 1
     if min(-(digits // 3), -5) < exponent < digits:
-        if exponent < 0:
-            text = "0" * -exponent + text
-        else:
-            split = exponent + 1
-        exponent = 0
-    text = (text[:split] + "." + text[split:]).rstrip("0")
-    if text[-1] == ".":
-        text += "0"
-    if exponent == 0:
-        return text
-    return f"{text}e{'+' if exponent > 0 else ''}{exponent}"
+        text, split, exponent = "0" * -exponent + text, max(exponent, 0) + 1, 0
+    text = text[:split] + "." + (text[split:].rstrip("0") or "0")
+    return f"{text}e{exponent:+d}" if exponent else text
 
 
 def _debug(msg: str, *args) -> None:
@@ -133,6 +121,9 @@ def _debug(msg: str, *args) -> None:
     if logging is not None:
         logging.getLogger("arndt_carlitz.asymptotics").debug(msg, *args)
 
+
+# significant digits of each value that an error message prints
+_SHOWN = 20
 
 # the error of a pass whose stop rule cannot fire
 _STUCK = f"tail of the k-sums did not fall below tol within {_MAX_TERMS} terms"
@@ -369,8 +360,8 @@ def find_rho(digits: int) -> tuple[int, int, KSums]:
         _exceeds(fa.denominator, fa.wp, ladder[0]) and _exceeds(fb.denominator, fb.wp, ladder[0])
     ):
         raise BracketError(
-            f"D({nstr(a, w, working)}) = {nstr(fa.denominator, fa.wp, working)} and "
-            f"D({nstr(b, w, working)}) = {nstr(fb.denominator, fb.wp, working)} "
+            f"D({nstr(a, w, _SHOWN)}) = {nstr(fa.denominator, fa.wp, _SHOWN)} and "
+            f"D({nstr(b, w, _SHOWN)}) = {nstr(fb.denominator, fb.wp, _SHOWN)} "
             f"do not change sign beyond the error budget of {ladder[0]} digits; "
             "evaluators are broken"
         )
@@ -406,7 +397,7 @@ def find_rho(digits: int) -> tuple[int, int, KSums]:
             if dps == working:
                 raise PrecisionError(
                     f"Newton refinement did not converge to {digits} digits in "
-                    f"[{nstr(a, w, working)}, {nstr(b, w, working)}]"
+                    f"[{nstr(a, w, _SHOWN)}, {nstr(b, w, _SHOWN)}]"
                 )
     # two bracket passes, then one pass per Newton or bisection step
     _debug(
@@ -427,7 +418,6 @@ def amplitudes(sums: KSums, digits: int) -> tuple[tuple[int, ...], int]:
     come from `sums`, one pass at digits + 15 (`find_rho`'s last), whose
     bits wp every value is over.  DomainError if |D(rho)| > 10^(-digits/2).
     """
-    working = digits + GUARD_DIGITS
     wp, rho, slope = sums.wp, sums.x, sums.derivative
     residual = abs(sums.denominator)
     _debug(
@@ -436,13 +426,13 @@ def amplitudes(sums: KSums, digits: int) -> tuple[tuple[int, ...], int]:
     )
     if _exceeds(residual, wp, digits):
         raise DomainError(
-            f"rho={nstr(rho, wp, working)} is not a root of D "
-            f"(|D(rho)| = {nstr(residual, wp, working)})"
+            f"rho={nstr(rho, wp, _SHOWN)} is not a root of D "
+            f"(|D(rho)| = {nstr(residual, wp, _SHOWN)})"
         )
     if abs(slope) * 10 ** 6 < 1 << wp:
         raise DegeneratePoleError(
-            f"|D'(rho)| = {nstr(abs(slope), wp, working)} is numerically zero "
-            f"at rho={nstr(rho, wp, working)}"
+            f"|D'(rho)| = {nstr(abs(slope), wp, _SHOWN)} is numerically zero "
+            f"at rho={nstr(rho, wp, _SHOWN)}"
         )
     scale = rho * slope  # rho*D' over 2^(2wp)
     c_even = _div(-sums.numerator << 2 * wp, scale)
@@ -451,7 +441,7 @@ def amplitudes(sums: KSums, digits: int) -> tuple[tuple[int, ...], int]:
     if not (c_even > 0 and c_odd > 0):
         raise PrecisionError(
             f"residue constants came out nonpositive: "
-            f"{nstr(c_even, wp, working)}, {nstr(c_odd, wp, working)}"
+            f"{nstr(c_even, wp, _SHOWN)}, {nstr(c_odd, wp, _SHOWN)}"
         )
     growth = _div(1 << 2 * wp, rho)
     return (rho, growth, c_even, c_odd, c_even + c_odd), wp

@@ -27,10 +27,10 @@ mpf appears only at the public boundary: `find_rho`, `amplitudes`,
 mpf((n, -w)) around the int core in the private module `_pole`, which
 loads on first use.  The `asymptotics` command calls that core alone: it
 takes the constants from the pass that confirmed `find_rho`'s root and
-prints with `nstr`.  Neither module imports logging (see `_pole._debug`),
-gf is imported only by `denominator_derivative_via_series`, and the
-package never imports fractions, so that command runs on ints from argv
-to stdout.
+rounds them to decimal exactly in ints (`_pole.nstr`).  Neither module
+imports logging (see `_pole._debug`), gf is imported only by
+`denominator_derivative_via_series`, and the package never imports
+fractions, so that command runs on ints from argv to stdout.
 """
 
 from __future__ import annotations

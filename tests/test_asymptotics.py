@@ -1,4 +1,5 @@
 import logging
+import math
 import time
 from fractions import Fraction
 
@@ -167,7 +168,8 @@ def test_ksums_fail_fast_where_they_cannot_converge(x_str):
 
 
 def test_stuck_pass_at_1100_digits_is_a_precision_error():
-    # the threshold 1e-1105 is below the range of nstr: the message prints no value
+    # the pass at 0.9999 would need more than 100000 terms; the message is a
+    # constant and prints no value
     with pytest.raises(PrecisionError, match="did not fall below tol within 100000 terms"):
         eval_denominator("0.9999", dps=1100)
 
@@ -414,8 +416,8 @@ def test_diagnostics_are_debug_records(caplog):
 
 
 def test_amplitudes_past_1040_digits(caplog):
-    # |dx| and |D(rho)| fall below 2^-3501, where nstr stops: the records
-    # carry binary exponents of the ints, so they print at any size
+    # |dx| and |D(rho)| fall below 2^-3501: the records carry binary
+    # exponents of the ints, so they print at any size
     with caplog.at_level(logging.DEBUG, logger=asymptotics.__name__):
         est = amplitudes(find_rho(1100), 1100)
     with mp.workdps(130):
@@ -495,6 +497,13 @@ def test_estimate_invariants():
 def test_amplitudes_rejects_non_root():
     with pytest.raises(DomainError):
         amplitudes(mpf("0.5"), 20)
+
+
+def test_numeric_error_message_is_short_at_1000_digits():
+    # values in a message print at 20 significant digits, whatever `digits` is
+    with pytest.raises(DomainError, match="is not a root of D") as exc:
+        amplitudes("0.6", 1000)
+    assert len(str(exc.value)) < 200
 
 
 def test_asymptotic_count_basics():
@@ -586,10 +595,15 @@ def test_exact_coefficients_pin_the_pole_constants(capsys):
                 assert mp.nstr(value, printed_digits) == printed[name], (n, name)
 
 
-def nstr_oracle(n, wp, digits):
-    # mpmath's own nstr of the exact value n/2^wp
-    with mp.workprec(max(n.bit_length(), 1)):
-        return mp.nstr(mpf((n, -wp)), digits)
+def rounded_half_up(value, digits):
+    # value (a nonzero Fraction) to `digits` significant digits, halves away from 0
+    size, exponent = abs(value), 0
+    while size >= 10 ** exponent:
+        exponent += 1
+    while size < 10 ** (exponent - 1):
+        exponent -= 1
+    unit = Fraction(10) ** (exponent - digits)
+    return (1 if value > 0 else -1) * math.floor(size / unit + Fraction(1, 2)) * unit
 
 
 @settings(max_examples=300, deadline=None)
@@ -598,28 +612,44 @@ def nstr_oracle(n, wp, digits):
     st.integers(min_value=-300, max_value=700),
     st.integers(min_value=1, max_value=60),
 )
-def test_nstr_matches_mpmath(n, wp, digits):
-    assert _pole.nstr(n, wp, digits) == nstr_oracle(n, wp, digits)
+def test_nstr_rounds_the_exact_value_half_up(n, wp, digits):
+    text = _pole.nstr(n, wp, digits)
+    value = Fraction(n) / Fraction(2) ** wp
+    assert Fraction(text) == (rounded_half_up(value, digits) if n else 0)
+    mantissa = text.lstrip("-").split("e")[0].replace(".", "").strip("0")
+    assert len(mantissa) <= digits
 
 
-def test_nstr_explicit_cases():
-    assert _pole.nstr(0, 10, 5) == "0.0" == nstr_oracle(0, 10, 5)
-    # within 3 units 2^-wp of a decimal tie (0.12345, 9.9995, 9.9995e-8):
-    # near 36 bits the cut to bitprec bits decides which way 4 digits round
-    for wp in (30, 34, 36, 40, 60, 200):
-        for tie_num, tie_den in ((12345, 10**5), (99995, 10**4), (99995, 10**12)):
-            centre = (tie_num << wp) // tie_den
-            for n in range(centre - 3, centre + 4):
-                assert _pole.nstr(n, wp, 4) == nstr_oracle(n, wp, 4), (wp, tie_num, n)
-    # scientific notation on both sides, and the fixed-point window's edges
-    wp = 200
-    for value, digits in (("1e-40", 10), ("3.5e-6", 5), ("0.00001234", 3), ("123456", 3),
-                          ("123456", 6), ("9.87e30", 20), ("1", 1), ("0.6279", 1)):
-        with mp.workprec(400):
-            n = int(mp.floor(mpf(value) * 2 ** wp))
-        assert _pole.nstr(n, wp, digits) == nstr_oracle(n, wp, digits), value
-    with pytest.raises(ValueError):
-        _pole.nstr(1, -3600, 5)
+def test_nstr_layout():
+    def shown(value, digits, wp=200):
+        return _pole.nstr(round(Fraction(value) * 2 ** wp), wp, digits)
+
+    assert shown("0", 5) == "0.0"
+    assert (shown("1", 1), shown("0.6279", 1), shown("0.6279", 3)) == ("1.0", "0.6", "0.628")
+    assert (shown("-0.6279", 3), shown("-1e40", 2)) == ("-0.628", "-1.0e+40")
+    # e-notation on both sides of the fixed-point window
+    # min(-(digits // 3), -5) < exponent < digits, and its edges
+    assert (shown("1e-40", 10), shown("3.5e-6", 5), shown("9.87e30", 20)) == (
+        "1.0e-40", "3.5e-6", "9.87e+30")
+    assert (shown("0.0001234", 3), shown("0.00001234", 3)) == ("0.000123", "1.23e-5")
+    assert (shown("1.5e-9", 30), shown("1.5e-10", 30)) == ("0.0000000015", "1.5e-10")
+    assert (shown("123456", 6), shown("123456", 3)) == ("123456.0", "1.23e+5")
+    assert (shown("12345678", 8), shown("123456789", 8)) == ("12345678.0", "1.2345679e+8")
+    # 99...9 carries into the next decade, and out of the window
+    assert (shown("9.9996", 4), shown("0.099996", 4)) == ("10.0", "0.1")
+    assert (shown("99.5", 2), shown("999.96", 3)) == ("1.0e+2", "1.0e+3")
+
+
+def test_nstr_rounds_a_near_tie_up():
+    # 2^-34 above the tie 9.9995: a printer that cuts the value to fewer
+    # bits, or floors it to a few more decimals, before it rounds gets 9.999
+    assert _pole.nstr((99995 << 34) // 10 ** 4 + 1, 34, 4) == "10.0"
+
+
+def test_nstr_has_no_range_limit():
+    # 2^-3700 and 2^3700: ints alone, so no size of the value is out of range
+    assert _pole.nstr(1, 3700, 5) == "1.5453e-1114"
+    assert _pole.nstr(-1, -3700, 5) == "-6.4712e+1113"
 
 
 @pytest.mark.parametrize("digits", [1, 5, *range(10, 111)])
