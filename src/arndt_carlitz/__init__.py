@@ -18,10 +18,8 @@ from importlib import import_module
 # each public name -> the module that defines it
 _OWNERS = {
     "AsymptoticEstimate": "asymptotics",
-    "BracketError": "asymptotics",
     "CapExceededError": "compositions",
     "DEFAULT_CAP": "compositions",
-    "DegeneratePoleError": "asymptotics",
     "DomainError": "asymptotics",
     "NonInvertibleSeriesError": "series",
     "ParityCounts": "compositions",

@@ -18,13 +18,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .asymptotics import (
-    GUARD_DIGITS,
-    BracketError,
-    DegeneratePoleError,
-    DomainError,
-    PrecisionError,
-)
+from .asymptotics import GUARD_DIGITS, DomainError, PrecisionError
 
 _MAX_TERMS = 100_000
 
@@ -162,11 +156,11 @@ def _never_small(n: int, w: int, value_threshold: tuple[int, int]) -> bool:
     return low >= target
 
 
-def ksums(n: int, w: int, dps: int, tol=None) -> KSums:
+def ksums(n: int, w: int, dps: int) -> KSums:
     """alpha(x,x^s), beta(x,x^s), s = 0, 1, and their x-derivatives at x = n/2^w.
 
     One pass; every value of the result is an int over 2^wp (see `KSums`).
-    tol is an exact ratio (num, den), by default (1, 10^(dps+5)).
+    The tail tolerance is tol = 10^-(dps+5).
 
     With P_s(j) = prod_{l<=j} (1 - x^(2l-1+s)) the k-th terms are
 
@@ -236,12 +230,12 @@ def ksums(n: int, w: int, dps: int, tol=None) -> KSums:
     the pass can never stop, and it raises PrecisionError before it sizes
     wp (which grows like 1/(1-x)) or allocates anything at that width.
     """
-    tol_num, tol_den = (1, 10 ** (dps + 5)) if tol is None else tol
+    tol_den = 10 ** (dps + 5)
     gap = (1 << 2 * w) - n * n  # 1 - x^2 = gap/2^(2w); thresholds are exact (num, den)
-    value_threshold = (tol_num * gap, tol_den << 2 * w)
+    value_threshold = (gap, tol_den << 2 * w)
     if _never_small(n, w, value_threshold):
         raise PrecisionError(_STUCK)
-    slope_threshold = (tol_num * gap * gap * n, tol_den << 5 * w)  # compared with x*term'
+    slope_threshold = (gap * gap * n, tol_den << 5 * w)  # compared with x*term'
     inv_gap = (1 << w) / ((1 << w) - n)
     # G of the docstring, one bit up for the float rounding
     guard = math.ceil(math.pi ** 2 / 6 * (inv_gap - 1) / math.log(2)) + 1
@@ -343,7 +337,7 @@ def find_rho(digits: int) -> tuple[int, int, KSums]:
     enclosed.  The iteration stops once a step at full working precision
     is below 10^-(digits+8).  BRACKET's ends are rounded to w bits (of
     digits + 15); an end whose |D| is within the first rung's error budget
-    cannot vouch for its sign and raises BracketError, as does a pair of
+    cannot vouch for its sign and raises PrecisionError, as does a pair of
     ends without a sign change.  sums is made at the iterate before the
     final step.
     """
@@ -359,7 +353,7 @@ def find_rho(digits: int) -> tuple[int, int, KSums]:
     if positive == (fb.denominator > 0) or not (
         _exceeds(fa.denominator, fa.wp, ladder[0]) and _exceeds(fb.denominator, fb.wp, ladder[0])
     ):
-        raise BracketError(
+        raise PrecisionError(
             f"D({nstr(a, w, _SHOWN)}) = {nstr(fa.denominator, fa.wp, _SHOWN)} and "
             f"D({nstr(b, w, _SHOWN)}) = {nstr(fb.denominator, fb.wp, _SHOWN)} "
             f"do not change sign beyond the error budget of {ladder[0]} digits; "
@@ -416,7 +410,9 @@ def amplitudes(sums: KSums, digits: int) -> tuple[tuple[int, ...], int]:
     F(z,z) picks up rho/(1-rho)*c_even - c_fzz, with c_fzz the residue
     constant of F(z,z) = alpha(z,z)/D.  D, Num, alpha(rho,rho) and D' all
     come from `sums`, one pass at digits + 15 (`find_rho`'s last), whose
-    bits wp every value is over.  DomainError if |D(rho)| > 10^(-digits/2).
+    bits wp every value is over.  DomainError if |D(rho)| > 10^(-digits/2);
+    PrecisionError if |D'(rho)| is numerically zero or a constant comes out
+    nonpositive.
     """
     wp, rho, slope = sums.wp, sums.x, sums.derivative
     residual = abs(sums.denominator)
@@ -430,7 +426,7 @@ def amplitudes(sums: KSums, digits: int) -> tuple[tuple[int, ...], int]:
             f"(|D(rho)| = {nstr(residual, wp, _SHOWN)})"
         )
     if abs(slope) * 10 ** 6 < 1 << wp:
-        raise DegeneratePoleError(
+        raise PrecisionError(
             f"|D'(rho)| = {nstr(abs(slope), wp, _SHOWN)} is numerically zero "
             f"at rho={nstr(rho, wp, _SHOWN)}"
         )

@@ -23,18 +23,20 @@ from the gf module are an independent cross-check of that pass;
 `denominator_derivative_via_series` is one.
 
 mpf appears only at the public boundary: `find_rho`, `amplitudes`,
-`eval_denominator` and the two D' functions import mpmath and convert with
-mpf((n, -w)) around the int core in the private module `_pole`, which
-loads on first use.  The `asymptotics` command calls that core alone: it
-takes the constants from the pass that confirmed `find_rho`'s root and
-rounds them to decimal exactly in ints (`_pole.nstr`).  Neither module
-imports logging (see `_pole._debug`), gf is imported only by
+`asymptotic_count`, `eval_denominator` and the two D' functions import
+mpmath; those that reach the int core in the private module `_pole`,
+which loads on first use, convert around it with mpf((n, -w)).  The
+`asymptotics` command calls that core alone: it takes the constants from
+the pass that confirmed `find_rho`'s root and rounds them to decimal
+exactly in ints (`_pole.nstr`).  Neither module imports logging (see
+`_pole._debug`), gf is imported only by
 `denominator_derivative_via_series`, and the package never imports
 fractions, so that command runs on ints from argv to stdout.
 """
 
 from __future__ import annotations
 
+from operator import index
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -53,16 +55,14 @@ class DomainError(ValueError):
     """Evaluation point outside (0, 1), or a claimed root of D that is not one."""
 
 
-class BracketError(ArithmeticError):
-    """No sign change of D on the root bracket above the error budget: evaluators broken."""
-
-
 class PrecisionError(ArithmeticError):
-    """An iteration failed to converge at the requested precision."""
+    """The numeric layer could not certify a result at the requested precision.
 
-
-class DegeneratePoleError(ArithmeticError):
-    """|D'(rho)| is numerically zero; the simple-pole formulas do not apply."""
+    A k-sum pass whose tail never falls below tolerance, a root bracket
+    without a sign change of D beyond the error budget, a Newton iteration
+    that does not converge, |D'(rho)| numerically zero (no simple pole), or
+    residue constants that come out nonpositive.
+    """
 
 
 class AsymptoticEstimate(NamedTuple):
@@ -92,7 +92,7 @@ def _check_domain(x) -> mpf:
     return xv
 
 
-def _ksums(x, tol=None, dps: int = DEFAULT_DPS):
+def _ksums(x, dps: int = DEFAULT_DPS):
     """`_pole.ksums` at a real x rounded to dps digits, every value an mpf at dps."""
     from mpmath import mp, mpf
 
@@ -101,14 +101,7 @@ def _ksums(x, tol=None, dps: int = DEFAULT_DPS):
     if dps < 1:
         raise ValueError(f"dps must be >= 1, got {dps}")
     with mp.workdps(dps):
-        n, w = _dyadic(_check_domain(x))
-        if tol is not None:
-            tolv = mpf(tol)
-            if not tolv > 0:
-                raise ValueError(f"tol must be > 0, got {tol}")
-            t, tw = _dyadic(tolv)
-            tol = (t, 1 << tw)
-        sums = _pole.ksums(n, w, dps, tol)
+        sums = _pole.ksums(*_dyadic(_check_domain(x)), dps)
 
         def real(v):
             return tuple(map(real, v)) if isinstance(v, tuple) else mpf((v, -sums.wp))
@@ -116,9 +109,9 @@ def _ksums(x, tol=None, dps: int = DEFAULT_DPS):
         return sums._make((*map(real, sums[:8]), sums.terms, sums.wp))
 
 
-def eval_denominator(x, tol=None, dps: int = DEFAULT_DPS) -> mpf:
-    """D(x), assembled from the alpha and beta k-sums (error budget ~5*tol)."""
-    return _ksums(x, tol, dps).denominator
+def eval_denominator(x, dps: int = DEFAULT_DPS) -> mpf:
+    """D(x), assembled from the alpha and beta k-sums (error budget ~5*10^-(dps+5))."""
+    return _ksums(x, dps).denominator
 
 
 def find_rho(digits: int = 20) -> mpf:
@@ -139,7 +132,7 @@ def denominator_derivative(x, digits: int = 20) -> mpf:
     """D'(x), differentiated term by term in the k-sums, at digits + 15 working."""
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    return _ksums(x, None, digits + GUARD_DIGITS).derivative
+    return _ksums(x, digits + GUARD_DIGITS).derivative
 
 
 def denominator_derivative_via_series(x, order: int = 250, dps: int = DEFAULT_DPS) -> mpf:
@@ -180,6 +173,7 @@ def asymptotic_count(n: int, est: AsymptoticEstimate, parity: str = "total") -> 
     """c_parity * (1/rho)^n: the leading-order approximation to the counts."""
     from mpmath import mp
 
+    n = index(n)  # TypeError for a float or a str
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if est.precision_digits < 1:

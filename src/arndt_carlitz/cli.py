@@ -300,12 +300,7 @@ def main(argv=None) -> int:
     except compositions.CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (
-        asymptotics.DomainError,
-        asymptotics.BracketError,
-        asymptotics.PrecisionError,
-        asymptotics.DegeneratePoleError,
-    ) as exc:
+    except (asymptotics.DomainError, asymptotics.PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
 

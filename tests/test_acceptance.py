@@ -137,7 +137,7 @@ def test_criterion_6_rho_reproduction():
     t0 = time.perf_counter()
     rho = find_rho(20)
     with mp.workdps(35):
-        residual = abs(eval_denominator(rho, tol=mpf("1e-30"), dps=35))
+        residual = abs(eval_denominator(rho, dps=35))
         delta = abs(rho - mpf(REF_RHO))
         elapsed = time.perf_counter() - t0
         ok = residual < mpf("1e-20") and delta < mpf("1e-20") and elapsed < 5.0

@@ -10,8 +10,6 @@ from mpmath import mp, mpf
 from arndt_carlitz import _pole, asymptotics, cli
 from arndt_carlitz.asymptotics import (
     GUARD_DIGITS,
-    BracketError,
-    DegeneratePoleError,
     DomainError,
     PrecisionError,
     amplitudes,
@@ -106,7 +104,7 @@ def test_evaluators_agree_with_exact_series(variant, x_str):
     x = Fraction(x_str)
     with mp.workdps(40):
         xv = mpf(x.numerator) / x.denominator
-        sums = asymptotics._ksums(xv, tol=mpf("1e-35"), dps=35)
+        sums = asymptotics._ksums(xv, dps=35)
         for maker, got in (
             (alpha_series, sums.alpha[s]),
             (beta_series, sums.beta[s]),
@@ -119,7 +117,7 @@ def test_denominator_agrees_with_exact_series():
     x = Fraction(1, 4)
     with mp.workdps(40):
         expected = exact_at(denominator_series(60), x)
-        got = eval_denominator(mpf("0.25"), tol=mpf("1e-35"), dps=35)
+        got = eval_denominator(mpf("0.25"), dps=35)
         assert abs(got - expected) < mpf("1e-25")
 
 
@@ -144,11 +142,11 @@ def test_ksum_kernel_grid(x_str):
     for dps, terms in zip((20, 100), KSUM_TERMS[x_str]):
         with mp.workdps(dps):
             x = mpf(x_str)
-        sums = asymptotics._ksums(x, None, dps)
+        sums = asymptotics._ksums(x, dps)
         assert sums.terms == terms
         if x > mpf("0.7"):
             continue
-        fine = asymptotics._ksums(x, None, dps + 60)
+        fine = asymptotics._ksums(x, dps + 60)
         with mp.workdps(dps + 60):
             for name in ("numerator", "denominator", "derivative"):
                 got, want = getattr(sums, name), getattr(fine, name)
@@ -163,7 +161,7 @@ def test_ksums_fail_fast_where_they_cannot_converge(x_str):
     for dps in (20, 100):
         start = time.perf_counter()
         with pytest.raises(PrecisionError):
-            asymptotics._ksums(mpf(x_str), None, dps)
+            asymptotics._ksums(mpf(x_str), dps)
         assert time.perf_counter() - start < 1
 
 
@@ -193,12 +191,6 @@ def test_ksums_fail_fast_next_to_one():
     with pytest.raises(PrecisionError):
         eval_denominator(x, dps=400)
     assert time.perf_counter() - start < 1
-
-
-@pytest.mark.parametrize("tol", [0, -1])
-def test_nonpositive_tol_is_rejected(tol):
-    with pytest.raises(ValueError, match="tol must be > 0"):
-        asymptotics._ksums(0.6, tol=tol)
 
 
 def test_beta_is_negative():
@@ -249,7 +241,7 @@ def test_find_rho_precision_monotone():
 def test_find_rho_residual():
     with mp.workdps(50):
         rho = find_rho(20)
-        assert abs(eval_denominator(rho, tol=mpf("1e-40"), dps=45)) < mpf("1e-25")
+        assert abs(eval_denominator(rho, dps=45)) < mpf("1e-25")
 
 
 def test_find_rho_input_validation():
@@ -303,7 +295,7 @@ def test_mag_is_the_least_exponent_above_the_ratio(num, den):
 def test_find_rho_rejects_signless_bracket(monkeypatch):
     # D > 0 at both ends of (0.10, 0.20)
     monkeypatch.setattr(_pole, "BRACKET", ((1, 10), (1, 5)))
-    with pytest.raises(BracketError, match="do not change sign"):
+    with pytest.raises(PrecisionError, match="do not change sign"):
         find_rho(15)
 
 
@@ -313,7 +305,7 @@ def test_find_rho_rejects_an_end_within_the_error_budget(monkeypatch):
     # where that sign is right: 0.6279010089184 lies 8e-14 below rho, so
     # |D| there is about 1.5e-12
     monkeypatch.setattr(_pole, "BRACKET", ((6279010089184, 10 ** 13), _pole.BRACKET[1]))
-    with pytest.raises(BracketError, match="error budget of 18 digits"):
+    with pytest.raises(PrecisionError, match="error budget of 18 digits"):
         _pole.find_rho(20)
 
 
@@ -325,12 +317,12 @@ def test_find_rho_rejects_an_end_where_d_is_zero(monkeypatch, end):
     x = _pole._div(num << w, den)
     real = _pole.ksums
 
-    def zero_at_the_end(n, bits, dps, tol=None):
-        sums = real(n, bits, dps, tol)
+    def zero_at_the_end(n, bits, dps):
+        sums = real(n, bits, dps)
         return sums._replace(denominator=0) if n == x else sums
 
     monkeypatch.setattr(_pole, "ksums", zero_at_the_end)
-    with pytest.raises(BracketError, match="evaluators are broken"):
+    with pytest.raises(PrecisionError, match="evaluators are broken"):
         _pole.find_rho(20)
 
 
@@ -397,7 +389,7 @@ def test_amplitudes_reject_a_pass_with_bad_slope():
     _, _, sums = _pole.find_rho(20)
     assert _pole.amplitudes(sums, 20)[0][0] == sums.x
     # D' = 0: no simple pole
-    with pytest.raises(DegeneratePoleError):
+    with pytest.raises(PrecisionError, match="numerically zero"):
         _pole.amplitudes(sums._replace(derivative=0), 20)
     # D' of the wrong sign makes c_even = -Num/(rho*D') negative
     with pytest.raises(PrecisionError, match="nonpositive"):
@@ -463,7 +455,7 @@ def test_k_sum_derivatives_agree_with_exact_series(variant):
     # the exact order-60 series at x = 1/4
     s = 0 if variant == "one" else 1
     x = Fraction(1, 4)
-    sums = asymptotics._ksums(mpf("0.25"), tol=mpf("1e-35"), dps=35)
+    sums = asymptotics._ksums(mpf("0.25"), dps=35)
     with mp.workdps(40):
         for maker, got in (
             (alpha_series, sums.dalpha[s]),
@@ -484,7 +476,15 @@ def test_amplitudes_match_certified_anchors():
 
 
 def test_estimate_invariants():
-    est = amplitudes(find_rho(20), 20)
+    rho = find_rho(digits=20)
+    est = amplitudes(rho, digits=20)
+    # the documented defaults: 20 digits, and dps 30 for eval_denominator
+    assert find_rho() == rho
+    assert amplitudes(rho) == est
+    assert est.precision_digits == 20
+    # at 0.6, since D'(0.5) at 20 and at 21 digits is the same mpf
+    assert denominator_derivative("0.6") == denominator_derivative("0.6", digits=20)
+    assert eval_denominator("0.6") == eval_denominator("0.6", dps=30)
     with mp.workdps(40):
         assert 0 < est.rho < 1
         assert abs(est.growth * est.rho - 1) < mpf("1e-30")
@@ -516,6 +516,11 @@ def test_asymptotic_count_basics():
         asymptotic_count(5, est, "both")
     with pytest.raises(ValueError):
         asymptotic_count(-1, est)
+    # n is an integer: True counts as 1, a float or a str is refused
+    assert asymptotic_count(True, est, "even") == asymptotic_count(1, est, "even")
+    for bad in (2.5, 3.0, "3"):
+        with pytest.raises(TypeError):
+            asymptotic_count(bad, est)
 
 
 def test_asymptotic_relative_error_shrinks():

@@ -14,13 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arndt_carlitz import _pole, asymptotics, cli, gf
-from arndt_carlitz.asymptotics import (
-    GUARD_DIGITS,
-    BracketError,
-    DegeneratePoleError,
-    DomainError,
-    PrecisionError,
-)
+from arndt_carlitz.asymptotics import GUARD_DIGITS, DomainError, PrecisionError
 from arndt_carlitz.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_CAP,
@@ -253,7 +247,7 @@ def test_asymptotics_digits_bound(capsys):
 
 def test_asymptotics_precision_failure_exit(capsys, monkeypatch):
     # every numeric error type maps to exit 5 and one stderr line
-    for error in (BracketError, PrecisionError, DegeneratePoleError, DomainError):
+    for error in (PrecisionError, DomainError):
         def broken(*args, error=error, **kwargs):
             raise error("numeric failure")
 
