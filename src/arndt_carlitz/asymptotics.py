@@ -52,7 +52,7 @@ CARLITZ_GROWTH = "1.750243"
 
 
 class DomainError(ValueError):
-    """Evaluation point outside (0, 1), or a claimed root of D that is not one."""
+    """Evaluation point outside (0, 0.95], or a claimed root of D that is not one."""
 
 
 class PrecisionError(ArithmeticError):
@@ -84,11 +84,12 @@ def _dyadic(v: mpf) -> tuple[int, int]:
 
 
 def _check_domain(x) -> mpf:
-    from mpmath import mpf
+    """x at the working precision if in (0, 0.95], where a pass keeps its error budget."""
+    from mpmath import mp, mpf
 
     xv = mpf(x)
-    if not 0 < xv < 1:
-        raise DomainError(f"evaluation point must lie in (0, 1), got {xv}")
+    if not 0 < xv <= mpf("0.95"):
+        raise DomainError(f"evaluation point must lie in (0, 0.95], got {mp.nstr(xv, 20)}")
     return xv
 
 
@@ -110,15 +111,12 @@ def _ksums(x, dps: int = DEFAULT_DPS):
 
 
 def eval_denominator(x, dps: int = DEFAULT_DPS) -> mpf:
-    """D(x), assembled from the alpha and beta k-sums (error budget ~5*10^-(dps+5))."""
+    """D(x) from the k-sums, within 5*10^-(dps+5) (the pass's D' within 10^-(dps+1))."""
     return _ksums(x, dps).denominator
 
 
 def find_rho(digits: int = 20) -> mpf:
-    """The zero of D in (0, 1), accurate to `digits` significant digits.
-
-    `_pole.find_rho` on its fixed bracket (0.55, 0.70), the root as an mpf.
-    """
+    """`_pole.find_rho`'s zero of D in (0.55, 0.70) to `digits` significant digits, an mpf."""
     from mpmath import mp, mpf
 
     from . import _pole
@@ -129,7 +127,7 @@ def find_rho(digits: int = 20) -> mpf:
 
 
 def denominator_derivative(x, digits: int = 20) -> mpf:
-    """D'(x), differentiated term by term in the k-sums, at digits + 15 working."""
+    """D'(x) differentiated term by term in the k-sums at digits + 15, within 10^-(digits+16)."""
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
     return _ksums(x, digits + GUARD_DIGITS).derivative

@@ -80,7 +80,7 @@ KSUM_TERMS = {
     "0.6": (66, 247),
     "0.7": (95, 355),
     "0.9": (359, 1238),
-    "0.97": (1614, 4653),
+    "0.95": (836, 2642),
 }
 
 
@@ -139,58 +139,41 @@ def test_order_500_series_certify_rho():
 
 @pytest.mark.parametrize("x_str", list(KSUM_TERMS))
 def test_ksum_kernel_grid(x_str):
+    # on the ints, against a pass 60 digits finer: D and Num within the
+    # documented 5*10^-(dps+5), D' within 10^-(dps+1), up to x = 0.95
     for dps, terms in zip((20, 100), KSUM_TERMS[x_str]):
         with mp.workdps(dps):
-            x = mpf(x_str)
-        sums = asymptotics._ksums(x, dps)
+            n, w = asymptotics._dyadic(mpf(x_str))
+        sums, fine = _pole.ksums(n, w, dps), _pole.ksums(n, w, dps + 60)
         assert sums.terms == terms
-        if x > mpf("0.7"):
-            continue
-        fine = asymptotics._ksums(x, dps + 60)
-        with mp.workdps(dps + 60):
-            for name in ("numerator", "denominator", "derivative"):
-                got, want = getattr(sums, name), getattr(fine, name)
-                bound = mpf(10) ** (2 - dps) * max(1, abs(want))
-                assert abs(got - want) < bound, (x_str, dps, name)
+        for name, bound in (
+            ("numerator", Fraction(5, 10 ** (dps + 5))),
+            ("denominator", Fraction(5, 10 ** (dps + 5))),
+            ("derivative", Fraction(1, 10 ** (dps + 1))),
+        ):
+            got = Fraction(getattr(sums, name), 1 << sums.wp)
+            want = Fraction(getattr(fine, name), 1 << fine.wp)
+            assert abs(got - want) < bound, (x_str, dps, name)
 
 
-@pytest.mark.parametrize("x_str", ["0.999", "0.999999", "0.999999999999"])
-def test_ksums_fail_fast_where_they_cannot_converge(x_str):
-    # B_0(k) stays above the value threshold for every k <= _MAX_TERMS, so
-    # the pass raises before its loop instead of after 100000 terms
-    for dps in (20, 100):
-        start = time.perf_counter()
-        with pytest.raises(PrecisionError):
-            asymptotics._ksums(mpf(x_str), dps)
-        assert time.perf_counter() - start < 1
-
-
-def test_stuck_pass_at_1100_digits_is_a_precision_error():
-    # the pass at 0.9999 would need more than 100000 terms; the message is a
+def test_stuck_pass_is_a_precision_error():
+    # at 0.95 and 9000 digits even x^(2*100000-1) stays above the value
+    # threshold, so the pass raises before its loop; the message is a
     # constant and prints no value
+    start = time.perf_counter()
     with pytest.raises(PrecisionError, match="did not fall below tol within 100000 terms"):
-        eval_denominator("0.9999", dps=1100)
+        eval_denominator("0.95", dps=9000)
+    assert time.perf_counter() - start < 1
 
 
 def test_ksums_backstop_stops_a_pass_past_the_term_cap(monkeypatch):
-    # with the check before the pass switched off, the loop's own cap
-    # raises: x = 0.9 needs far more than 10 terms at 20 digits
-    monkeypatch.setattr(_pole, "_never_small", lambda *args: False)
-    monkeypatch.setattr(_pole, "_MAX_TERMS", 10)
-    n, w = asymptotics._dyadic(mpf("0.9"))
+    # x = 0.05 needs 13 terms at 20 digits; with a cap of 12 the bound
+    # before the loop (0.05^23 is far below the threshold) lets the pass
+    # start, and the loop's own cap raises
+    monkeypatch.setattr(_pole, "_MAX_TERMS", 12)
+    n, w = asymptotics._dyadic(mpf("0.05"))
     with pytest.raises(PrecisionError, match="did not fall below tol"):
         _pole.ksums(n, w, 20)
-
-
-def test_ksums_fail_fast_next_to_one():
-    # 1 - x = 2^-1100 is below the smallest float; the check before the
-    # pass reads the ints, and no width that grows like 1/(1-x) is formed
-    with mp.workprec(1200):
-        x = 1 - mpf(2) ** -1100
-    start = time.perf_counter()
-    with pytest.raises(PrecisionError):
-        eval_denominator(x, dps=400)
-    assert time.perf_counter() - start < 1
 
 
 def test_beta_is_negative():
@@ -220,11 +203,26 @@ def test_denominator_frozen_values():
 
 
 def test_domain_errors():
-    for bad in ("1.2", "-0.5", "0", "1"):
+    # past 0.95 a pass no longer keeps its error budget
+    for bad in ("1.2", "-0.5", "0", "1", "0.96", "0.999", "0.999999", "0.999999999999"):
         with pytest.raises(DomainError):
             asymptotics._ksums(mpf(bad), dps=20)
     with pytest.raises(DomainError):
         eval_denominator(mpf("2"), dps=20)
+    # points just above 0.95 and just below 1, kept exactly at the working
+    # precision of their call
+    with mp.workprec(200):
+        above = mpf("0.95") + mpf(2) ** -100
+    with mp.workprec(1200):
+        next_to_one = 1 - mpf(2) ** -1100
+    for x, dps in ((above, 100), (next_to_one, 400)):
+        with pytest.raises(DomainError):
+            eval_denominator(x, dps)
+    # 0.95 itself is in, at any precision
+    for dps in (20, 30, 100):
+        assert eval_denominator("0.95", dps) < 0
+    with mp.workdps(1100):
+        assert asymptotics._check_domain("0.95") == mpf("0.95")
 
 
 def test_find_rho_matches_certified_anchor():
@@ -396,6 +394,19 @@ def test_amplitudes_reject_a_pass_with_bad_slope():
         _pole.amplitudes(sums._replace(derivative=-sums.derivative), 20)
 
 
+def test_amplitudes_reject_a_zero_even_constant():
+    # Num = 0 makes c_even exactly 0, while alpha(x,x) < 0 and D' < 0 make
+    # c_odd = -c_fzz = 1/x > 0: a zero constant is not positive either
+    wp = 64
+    one = 1 << wp
+    sums = _pole.KSums(
+        x=5 * one // 8, alpha=(0, -one), beta=(0, 0), dalpha=(0, 0), dbeta=(0, 0),
+        numerator=0, denominator=0, derivative=-one, terms=1, wp=wp,
+    )
+    with pytest.raises(PrecisionError, match="nonpositive: 0.0, 1.6$"):
+        _pole.amplitudes(sums, 20)
+
+
 def test_diagnostics_are_debug_records(caplog):
     with caplog.at_level(logging.DEBUG, logger=asymptotics.__name__):
         amplitudes(find_rho(20), 20)
@@ -504,6 +515,13 @@ def test_numeric_error_message_is_short_at_1000_digits():
     with pytest.raises(DomainError, match="is not a root of D") as exc:
         amplitudes("0.6", 1000)
     assert len(str(exc.value)) < 200
+    # so does a point outside the domain, made at 1000 digits
+    with mp.workdps(1000):
+        x = mpf(4) / 3
+    for call in (lambda: amplitudes(x, 1000), lambda: eval_denominator(x, 1000)):
+        with pytest.raises(DomainError, match=r"got 1\.3333333333333333333$") as exc:
+            call()
+        assert len(str(exc.value)) < 200
 
 
 def test_asymptotic_count_basics():

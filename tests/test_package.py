@@ -186,7 +186,7 @@ except NonInvertibleSeriesError:
 assert "fractions" not in sys.modules
 # the message holds no value, so it prints at any dps
 try:
-    eval_denominator("0.9999", dps=20)
+    eval_denominator("0.95", dps=9000)
 except PrecisionError as exc:
     print(exc)
 assert "fractions" not in sys.modules
