@@ -61,12 +61,6 @@ def _div(a: int, b: int) -> int:
     return (2 * a + b) // (2 * b)
 
 
-def _mag(num: int, den: int) -> int:
-    """The least m with num/den < 2^m, for num, den > 0 (mpmath's mag of the exact value)."""
-    m = num.bit_length() - den.bit_length()
-    return m + 1 if num << max(-m, 0) >= den << max(m, 0) else m
-
-
 def _exceeds(f: int, wp: int, dps: int) -> bool:
     """|f/2^wp| > 10^(-dps/2), exactly: a D this large keeps its sign at dps digits."""
     return f * f * 10 ** dps > 1 << 2 * wp
@@ -119,15 +113,40 @@ def _debug(msg: str, *args) -> None:
 # significant digits of each value that an error message prints
 _SHOWN = 20
 
-# the error of a pass whose stop rule cannot fire
-_STUCK = f"tail of the k-sums did not fall below tol within {_MAX_TERMS} terms"
+
+def _plan(n: int, w: int, dps: int) -> tuple[int, int]:
+    """(K, wp) of `ksums` at x = n/2^w: its term count and working bits.
+
+    K is the least count with F*tau' <= tol (see `ksums`): a*K >= R(K) =
+    ln(F*Q*c/tol) + ln((2K+3)c + 2qc^2 + xL^3), a = ln(1/q).  R grows with
+    K, so K -> ceil(R(K)/a) rises from 0 to that K.  Past the first step
+    a*K > ln(1/tol) > 13, and R grows by under 1/13 per unit of a*K, so each
+    step cuts the distance 13-fold.  The logs are floats, Q and F their bounds.
+    """
+    x, ln2 = n / (1 << w), math.log(2)
+    ln_x = math.log(n) - w * ln2
+    inv_gap = (1 << w) / ((1 << w) - n)  # L
+    c, xl = inv_gap / (1 + x), x * inv_gap
+    log_q = math.pi ** 2 / 6 * xl  # G*ln(2)
+    log_f = math.log1p(2 * xl * c) + log_q
+    log_tol = -(dps + 5) * math.log(10)
+    head = log_f + log_q + math.log(c) - log_tol
+    rest = 3 * c + 2 * x * x * c * c + xl * inv_gap * inv_gap
+    terms, last = 0, -1
+    while terms != last:
+        last, terms = terms, math.ceil((head + math.log(2 * c * terms + rest)) / (-2 * ln_x))
+    bits = math.ceil((log_f - ln_x - log_tol) / ln2)  # 2^-bits <= x*tol/F
+    bits = max(bits, _dps_to_prec(dps) - 2 * (n.bit_length() - w))
+    # G of the docstring, one bit up for the float rounding
+    guard = math.ceil(log_q / ln2) + 1
+    return terms, bits + guard + 3 * terms.bit_length() + 4 * math.ceil(math.log2(inv_gap)) + 18
 
 
 def ksums(n: int, w: int, dps: int) -> KSums:
     """alpha(x,x^s), beta(x,x^s), s = 0, 1, and their x-derivatives at x = n/2^w.
 
-    One pass; every value of the result is an int over 2^wp (see `KSums`).
-    The tail tolerance is tol = 10^-(dps+5).
+    One pass of K steps, K set before it starts (`_plan`); every value is
+    an int over 2^wp (see `KSums`).  The tail tolerance is tol = 10^-(dps+5).
 
     With P_s(j) = prod_{l<=j} (1 - x^(2l-1+s)) the k-th terms are
 
@@ -148,85 +167,74 @@ def ksums(n: int, w: int, dps: int) -> KSums:
     so after K steps beta = 1 - 1/P_s(K) and x*beta' = -H_s(K)/P_s(K),
     both read off the running product and log-derivative.
 
-    Stop rule: the value terms eventually decay at least like x^(2k), so the
-    tail after a value term below tol*(1-x^2) is below tol.  A derivative
-    term is its value term times a weight that grows linearly in k (H_s
-    converges), so it decays like k*x^(2k); with q = x^2 the tail after
-    the k-th such term is at most that term times q/(1-q) + q/(k*(1-q)^2),
-    which is below 1/(1-q)^2 for every k >= 1.  So a derivative term below
-    tol*(1-x^2)^2 leaves a tail below tol.  The pass stops after two
-    consecutive steps in which all four value terms and all four
-    derivative terms beat their thresholds; the second is the defensive
-    extra evaluation.  Beta terms are formed only where the alpha terms pass.
-
-    Fixed point: the pass runs on Python ints, an int n standing for
-    n/2^wp; a product is a*b >> wp and a reciprocal is one*2^wp // (one - p).
-    Every term is nonnegative, so the stop rule compares the ints
-    themselves with the thresholds.  Let
-    L = 1/(1-x) and K = _MAX_TERMS >= k.  The products 1/P_s never exceed
-    prod_m 1/(1-x^m), whose log2 is at most
+    Term count: with q = x^2, L = 1/(1-x) and c = 1/(1-q), the product
+    Q = prod_m 1/(1-x^m) is at most 2^G, where
 
         G = (pi^2/6) * x / ((1-x) * ln 2),
 
     because 1-x^j >= j*x^(j-1)*(1-x) bounds -ln(1-x^j) = sum_r x^(jr)/r by
-    sum_r x/(r^2*(1-x)) for every j (so m*t(m) <= L and H_s <= KL).  Each
-    operation, and the conversion of x, rounds by at most one unit
+    sum_r x/(r^2*(1-x)) for every j.  The same inequality gives
+    m*t(m) <= xL, so H_s <= kL after k steps, and H_s <= L*sum_m m*x^m =
+    xL^3.  The factors of a term have distinct exponents, so A_s(k) and
+    B_s(k) are at most Q*x^(2k-1), and their weights above at most
+    (2k+1)c + xL^3.  Past K steps the tails of the two alpha sums and of
+    the two beta products are therefore at most
+
+        tau = Q*c*x^(2K+1),
+
+    and those of their x-derivatives (the weights over x) at most
+
+        tau' = Q*c*x^(2K) * ((2K+3)c + 2qc^2 + xL^3) >= (5c/x + L^3) * tau.
+
+    In Num = alpha_1*(1 - beta_x) + alpha_x*beta_1 (subscripts are u),
+    |beta_s| <= Q - 1, alpha_s <= xLQqc, |beta_s'| = H_s/(x*P_s) <= L^3*Q
+    and |alpha_s'| <= Q*(x^2L^3 + 3x^2L^4 + x^3L^5).  So if the alpha sums
+    and beta values move by at most v and their x-derivatives by at most
+    d, Num moves by at most (F-1)*v, D = 1 - beta_x - Num by F*v and D' by
+    F*d + M*v, with F = (1 + 2xLc)*2^G >= 1 + 2QxLc and M <= (F-1)*(4c/x +
+    7L^3).  K is the least count with F*tau' <= tol, so the tails move Num
+    and D by at most tol and D' by at most 8*tol.
+
+    Fixed point: the pass runs on Python ints, an int n standing for
+    n/2^wp; a product is a*b >> wp and a reciprocal is one*2^wp // (one - p).
+    Each operation, and the conversion of x, rounds by at most one unit
     u = 2^-wp.  To first order the powers then carry at most 6uL; the
     reciprocals and the t(m) 7uL^3 (relative 7uL^2, so the k factors of
     1/P_s 8kuL^2); H_s 14K^2*uL^3 (k values of t, each times m_l <= 2l);
     the alpha terms 16KuL^3*2^G, their weights (at most 4KL) 35K^2*uL^3
     and their derivatives 100K^2*uL^4*2^G, so each of the two sums
-    100K^3*uL^4*2^G.  beta = 1 - 1/P_s(K), H_s(K)/P_s(K) and the beta
-    terms of the stop test err by at most 60K^2*uL^3*2^G.  So with
+    100K^3*uL^4*2^G.  beta = 1 - 1/P_s(K) and H_s(K)/P_s(K) err by at
+    most 60K^2*uL^3*2^G.  So with
 
         wp = bits + G + 3*bitlen(K) + 4*log2(L) + 18,
 
-    2^-bits <= the derivative threshold and bits >= the precision of dps
-    plus 2*log2(1/x) (alpha ~ x^2 keeps its relative precision as x -> 0),
-    every term, sum and product lies within 2^-10 of that threshold of its
-    exact value: rounding moves neither the stop nor the digits.  alpha,
-    beta, Num, D and D' are assembled from the two sums and the two
-    products in the same ints, each product and division rounded to
-    nearest.  That adds a few units u, times at most L^2/x, which the
-    4*log2(L) and 2*log2(1/x) in wp cover.
+    2^-bits <= x*tol/F and bits >= the precision of dps plus 2*log2(1/x)
+    (alpha ~ x^2 keeps its relative precision as x -> 0), every sum and
+    product errs by at most eps = 2^-10*x*tol/F.  With v = eps and
+    d = eps/x above, that moves Num and D by at most 2^-10*tol and D' by
+    at most 12*2^-10*L^3*tol.  alpha, beta, Num, D and D' are assembled
+    from the two sums and the two products in the same ints, each product
+    and division rounded to nearest, which adds a few units u times at
+    most Q*L^3/x.  G, K and bits come from float logs, whose rounding is
+    far inside these margins.
 
-    For x in (0, 0.95] (the domain of the public calls) D and Num come out
-    within 5*10^-(dps+5) and D' within 10^-(dps+1) of their exact values;
-    beyond it the factors 1/(1-x) of the assembly outgrow these budgets.
+    So D and Num come out within 2*tol of their exact values and D' within
+    (8 + 0.012*L^3)*tol: inside 5*10^-(dps+5) and 10^-(dps+1) for every x
+    up to 0.98, beyond the domain (0, 0.95] of the public calls.
     """
-    tol_den = 10 ** (dps + 5)
-    gap = (1 << 2 * w) - n * n  # 1 - x^2 = gap/2^(2w); thresholds are exact (num, den)
-    value_threshold = (gap, tol_den << 2 * w)
-    # B_0(k) >= x^(2k-1): a pass whose last allowed B_0 cannot fall below
-    # the value threshold (up to a factor e) never stops
-    ln_x = math.log(n) - w * math.log(2)
-    if (2 * _MAX_TERMS - 1) * ln_x > math.log(gap) - math.log(value_threshold[1]) + 1:
-        raise PrecisionError(_STUCK)
-    slope_threshold = (gap * gap * n, tol_den << 5 * w)  # compared with x*term'
-    inv_gap = (1 << w) / ((1 << w) - n)
-    # G of the docstring, one bit up for the float rounding
-    guard = math.ceil(math.pi ** 2 / 6 * (inv_gap - 1) / math.log(2)) + 1
-    wp = (
-        max(_dps_to_prec(dps) - 2 * (n.bit_length() - w), 3 - _mag(*slope_threshold))
-        + guard + 3 * _MAX_TERMS.bit_length() + 4 * math.ceil(math.log2(inv_gap)) + 18
-    )
+    terms, wp = _plan(n, w, dps)
+    if terms > _MAX_TERMS:
+        raise PrecisionError(f"tail of the k-sums did not fall below tol within {_MAX_TERMS} terms")
     one = 1 << wp
     one_squared = one << wp
     xf = n << (wp - w) if wp >= w else n >> (w - wp)
     xf2 = xf * xf >> wp
-    value_cut = (value_threshold[0] << wp) // value_threshold[1]
-    slope_cut = (slope_threshold[0] << wp) // slope_threshold[1]
     power = xf                   # x^(2k-1)
     inv_odd = one_squared // (one - xf)  # 1/(1-x^(2k-1))
     prod0 = prod1 = one          # 1/P_s(k-1)
     logd0 = logd1 = 0            # H_s(k-1)
     sum_a0 = sum_a1 = slope_a0 = slope_a1 = 0
-    small_run = 0
-    k = 0
-    while small_run < 2:
-        k += 1
-        if k > _MAX_TERMS:
-            raise PrecisionError(_STUCK)
+    for k in range(1, terms + 1):
         p_even = power * xf >> wp
         p_next = power * xf2 >> wp
         inv_even = one_squared // (one - p_even)
@@ -235,25 +243,15 @@ def ksums(n: int, w: int, dps: int) -> KSums:
         # alpha: A_0 uses t(2k), A_1 uses t(2k+1); both over P_s(k-1)
         a_0 = t_even * prod0 >> wp
         a_1 = t_next * prod1 >> wp
-        da_0 = a_0 * (2 * k * inv_even + logd0) >> wp
-        da_1 = a_1 * ((2 * k + 1) * inv_next + logd1) >> wp
+        slope_a0 += a_0 * (2 * k * inv_even + logd0) >> wp
+        slope_a1 += a_1 * ((2 * k + 1) * inv_next + logd1) >> wp
+        sum_a0 += a_0
+        sum_a1 += a_1
         # P_s(k) = P_s(k-1) * (1 - x^(2k-1+s))
         prod0 = prod0 * inv_odd >> wp
         prod1 = prod1 * inv_even >> wp
         logd0 += (2 * k - 1) * (inv_odd - one)
         logd1 += 2 * k * t_even
-        sum_a0 += a_0
-        sum_a1 += a_1
-        slope_a0 += da_0
-        slope_a1 += da_1
-        small = max(a_0, a_1) < value_cut and max(da_0, da_1) < slope_cut
-        if small:  # the beta terms enter only the stop test
-            b_0 = power * prod0 >> wp
-            b_1 = p_even * prod1 >> wp
-            small = max(b_0, b_1) < value_cut and max(
-                b_0 * ((2 * k - 1) * one + logd0) >> wp, b_1 * (2 * k * one + logd1) >> wp
-            ) < slope_cut
-        small_run = small_run + 1 if small else 0
         power, inv_odd = p_next, inv_next
     # alpha = x/(1-x) * S, so alpha' = (S/(1-x) + x*S')/(1-x); beta telescopes
     one_minus = one - xf
@@ -278,7 +276,7 @@ def ksums(n: int, w: int, dps: int) -> KSums:
         numerator=numerator,
         denominator=one - bz - numerator,
         derivative=-dbz - dnumerator,
-        terms=k,
+        terms=terms,
         wp=wp,
     )
 

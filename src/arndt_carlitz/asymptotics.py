@@ -58,7 +58,7 @@ class DomainError(ValueError):
 class PrecisionError(ArithmeticError):
     """The numeric layer could not certify a result at the requested precision.
 
-    A k-sum pass whose tail never falls below tolerance, a root bracket
+    A k-sum pass that needs more than 100000 terms, a root bracket
     without a sign change of D beyond the error budget, a Newton iteration
     that does not converge, |D'(rho)| numerically zero (no simple pole), or
     residue constants that come out nonpositive.
@@ -99,7 +99,7 @@ def _ksums(x, dps: int = DEFAULT_DPS):
 
     from . import _pole
 
-    if dps < 1:
+    if index(dps) < 1:  # TypeError for a float
         raise ValueError(f"dps must be >= 1, got {dps}")
     with mp.workdps(dps):
         sums = _pole.ksums(*_dyadic(_check_domain(x)), dps)
@@ -122,13 +122,13 @@ def find_rho(digits: int = 20) -> mpf:
     from . import _pole
 
     with mp.workdps(digits + GUARD_DIGITS):
-        n, w, _ = _pole.find_rho(digits)
+        n, w, _ = _pole.find_rho(index(digits))
         return mpf((n, -w))
 
 
 def denominator_derivative(x, digits: int = 20) -> mpf:
     """D'(x) differentiated term by term in the k-sums at digits + 15, within 10^-(digits+16)."""
-    if digits < 1:
+    if index(digits) < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
     return _ksums(x, digits + GUARD_DIGITS).derivative
 
@@ -143,7 +143,7 @@ def denominator_derivative_via_series(x, order: int = 250, dps: int = DEFAULT_DP
 
     from .gf import denominator_series
 
-    if dps < 1:
+    if index(dps) < 1:
         raise ValueError(f"dps must be >= 1, got {dps}")
     with mp.workdps(dps):
         xv = _check_domain(x)
@@ -159,7 +159,7 @@ def amplitudes(rho, digits: int = 20) -> AsymptoticEstimate:
 
     from . import _pole
 
-    if digits < 1:
+    if index(digits) < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
     with mp.workdps(digits + GUARD_DIGITS):
         sums = _pole.ksums(*_dyadic(_check_domain(rho)), digits + GUARD_DIGITS)

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from arndt_carlitz import _pole, asymptotics, cli
@@ -71,16 +71,17 @@ TABULATED_C_EVEN = "0.18236796484521070938"
 TABULATED_C_ODD = "0.217010508476828474"
 TABULATED_C_TOTAL = "0.399378473322039"
 
-# k-terms of one fused pass at dps 20 and 100, as the floating-point loop
-# counted them before the pass ran on fixed-point integers: they pin the
-# stop rule
+# k-terms of one fused pass at dps 1, 5, 20 and 100: the least K with
+# F*tau' <= tol in the closed form of the `_pole.ksums` docstring (which
+# test_term_count_is_the_least_the_bound_allows restates), pinned so that
+# a change of the bound or of its solution shows
 KSUM_TERMS = {
-    "0.05": (13, 44),
-    "0.55": (56, 211),
-    "0.6": (66, 247),
-    "0.7": (95, 355),
-    "0.9": (359, 1238),
-    "0.95": (836, 2642),
+    "0.05": (3, 5, 11, 42),
+    "0.55": (20, 28, 58, 213),
+    "0.6": (26, 35, 69, 251),
+    "0.7": (43, 55, 105, 365),
+    "0.9": (268, 320, 485, 1364),
+    "0.95": (1038, 1015, 1354, 3157),
 }
 
 
@@ -140,8 +141,9 @@ def test_order_500_series_certify_rho():
 @pytest.mark.parametrize("x_str", list(KSUM_TERMS))
 def test_ksum_kernel_grid(x_str):
     # on the ints, against a pass 60 digits finer: D and Num within the
-    # documented 5*10^-(dps+5), D' within 10^-(dps+1), up to x = 0.95
-    for dps, terms in zip((20, 100), KSUM_TERMS[x_str]):
+    # documented 5*10^-(dps+5), D' within 10^-(dps+1), up to x = 0.95; at
+    # dps 1 the literal 0.95 rounds to 0.953125, past the public domain
+    for dps, terms in zip((1, 5, 20, 100), KSUM_TERMS[x_str]):
         with mp.workdps(dps):
             n, w = asymptotics._dyadic(mpf(x_str))
         sums, fine = _pole.ksums(n, w, dps), _pole.ksums(n, w, dps + 60)
@@ -154,6 +156,56 @@ def test_ksum_kernel_grid(x_str):
             got = Fraction(getattr(sums, name), 1 << sums.wp)
             want = Fraction(getattr(fine, name), 1 << fine.wp)
             assert abs(got - want) < bound, (x_str, dps, name)
+
+
+def _tail_bounds(x, terms):
+    """(F, tau, tau') of the `_pole.ksums` docstring at x after `terms` steps."""
+    lever, c = 1 / (1 - x), 1 / (1 - x * x)
+    q_bound = mp.exp(mp.pi ** 2 / 6 * x * lever)  # 2^G
+    f = (1 + 2 * x * lever * c) * q_bound
+    tau = q_bound * c * x ** (2 * terms + 1)
+    weight = (2 * terms + 3) * c + 2 * x * x * c * c + x * lever ** 3
+    return f, tau, q_bound * c * x ** (2 * terms) * weight
+
+
+@pytest.mark.parametrize("dps", [1, 20, 100])
+@pytest.mark.parametrize(
+    "n", [1] + [round(Fraction(v) * 2 ** 60) for v in ("0.05", "0.6", "0.95")],
+    ids=["2^-60", "0.05", "0.6", "0.95"],
+)
+def test_term_count_is_the_least_the_bound_allows(monkeypatch, n, dps):
+    # x = n/2^60: K is the least count with F*tau' <= tol, and the tails a
+    # K-term pass leaves (against a 4K-term pass, both at dps + 60) lie
+    # below the docstring's bounds on them
+    w = 60
+    terms = _pole.ksums(n, w, dps).terms
+    with mp.workdps(40):
+        x, tol = mpf(n) / 2 ** w, mpf(10) ** -(dps + 5)
+        f, _, slope_before = _tail_bounds(x, terms - 1)
+        assert f * slope_before > tol
+        f, tau, tau_slope = _tail_bounds(x, terms)
+        assert f * tau_slope <= tol
+    wp = _pole._plan(n, w, dps + 60)[1] + 6  # 6 bits for up to 4x the terms
+    passes = []
+    for count in (terms, 4 * terms):
+        monkeypatch.setattr(_pole, "_plan", lambda *_: (count, wp))
+        passes.append(_pole.ksums(n, w, dps + 60))
+    short, long = passes
+
+    def tail(name, s=None):
+        a, b = getattr(short, name), getattr(long, name)
+        return abs(mpf(a[s] - b[s] if s is not None else a - b)) / mpf(2) ** wp
+
+    with mp.workdps(40):
+        lever = 1 / (1 - x)
+        for s in (0, 1):
+            assert tail("beta", s) <= tau
+            assert tail("dbeta", s) <= tau_slope
+            assert tail("alpha", s) <= x * lever * tau
+            assert tail("dalpha", s) <= lever ** 2 * tau + x * lever * tau_slope
+        assert tail("numerator") <= (f - 1) * tau
+        assert tail("denominator") <= f * tau <= tol
+        assert tail("derivative") <= 8 * tol
 
 
 @pytest.mark.parametrize("x_str", ["0.999", "0.999999", "0.999999999999"])
@@ -179,9 +231,10 @@ def test_ksums_fail_fast_next_to_one():
 
 
 def test_stuck_pass_is_a_precision_error():
-    # at 0.95 and 9000 digits even x^(2*100000-1) stays above the value
-    # threshold, so the pass raises before its loop; the message is a
-    # constant and prints no value
+    # at 0.95 and 9000 digits the closed-form count is about 2*10^5 terms,
+    # past the cap of 100000, so the pass raises before its loop (100000
+    # steps at 9000 digits would take far longer than 1 s); the message
+    # prints no value
     start = time.perf_counter()
     with pytest.raises(PrecisionError, match="did not fall below tol within 100000 terms"):
         eval_denominator("0.95", dps=9000)
@@ -189,11 +242,14 @@ def test_stuck_pass_is_a_precision_error():
 
 
 def test_ksums_backstop_stops_a_pass_past_the_term_cap(monkeypatch):
-    # x = 0.05 needs 13 terms at 20 digits; with a cap of 12 the bound
-    # before the loop (0.05^23 is far below the threshold) lets the pass
-    # start, and the loop's own cap raises
-    monkeypatch.setattr(_pole, "_MAX_TERMS", 12)
+    # the cap is checked once, against the count K fixed before the loop:
+    # a cap of K runs all K steps, and a cap of K - 1 raises (x = 0.05
+    # needs K = 11 at 20 digits)
     n, w = asymptotics._dyadic(mpf("0.05"))
+    terms = _pole.ksums(n, w, 20).terms
+    monkeypatch.setattr(_pole, "_MAX_TERMS", terms)
+    assert _pole.ksums(n, w, 20).terms == terms
+    monkeypatch.setattr(_pole, "_MAX_TERMS", terms - 1)
     with pytest.raises(PrecisionError, match="did not fall below tol"):
         _pole.ksums(n, w, 20)
 
@@ -285,28 +341,30 @@ def test_precision_below_one_digit_is_rejected(digits):
         denominator_derivative_via_series("0.5", dps=digits)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: find_rho(10.5),
+        lambda: amplitudes(find_rho(20), 20.5),
+        lambda: eval_denominator("0.5", dps=2.5),
+        lambda: denominator_derivative("0.5", 20.5),
+        lambda: denominator_derivative_via_series("0.5", dps=30.5),
+    ],
+    ids=["find_rho", "amplitudes", "eval_denominator", "derivative", "derivative_via_series"],
+)
+def test_precision_must_be_an_int(call):
+    # a float precision used to reach _pole's shifts and fail there with
+    # "unsupported operand type(s) for <<"
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()
+
+
 def test_public_find_rho_is_the_int_core_root():
     # both layers round the same BRACKET ends and run the same iteration
     for digits in (10, 20, 100):
         n, w, _ = _pole.find_rho(digits)
         man, exp = asymptotics._dyadic(find_rho(digits))
         assert Fraction(n, 1 << w) == Fraction(man, 1 << exp)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 2 ** 300), st.integers(1, 2 ** 300))
-@example(1, 1)
-@example(2, 1)
-@example(1, 2)
-@example(3, 6)
-@example(6, 3)
-@example(2 ** 100, 1)
-@example(1, 2 ** 100)
-@example(2 ** 100 - 1, 2 ** 100)
-def test_mag_is_the_least_exponent_above_the_ratio(num, den):
-    # the k-sum thresholds are int pairs: _mag reads them exactly
-    m = _pole._mag(num, den)
-    assert Fraction(2) ** (m - 1) <= Fraction(num, den) < Fraction(2) ** m
 
 
 def test_find_rho_rejects_signless_bracket(monkeypatch):
