@@ -2,11 +2,12 @@
 
 Everything here runs on Python ints in fixed point, an int n standing for
 n/2^w: `ksums` is the fused pass over the k-sums, `find_rho` the
-safeguarded Newton iteration for the zero of D, `amplitudes` the residue
-constants, and `nstr` prints a value rounded exactly, in mpmath's layout.
+safeguarded Newton iteration for the zero of D, which returns the pass
+that confirmed it, `amplitudes` the residue constants read off that
+pass, and `nstr` prints a value rounded exactly, in mpmath's layout.
 The public mpf functions of `asymptotics` convert around this core, and
-the `asymptotics` command calls it directly, without mpmath: `amplitudes`
-reads the pass that confirmed `find_rho`'s root.  The module is imported
+the `asymptotics` command calls it directly, without mpmath: the root it
+prints is the one the public `find_rho` returns.  The module is imported
 on first use: commands that never reach the numeric layer do not load
 it.  Exact rationals are int pairs (num, den), rounded in ints, so the
 module never imports fractions.
@@ -122,6 +123,7 @@ def _plan(n: int, w: int, dps: int) -> tuple[int, int]:
     K, so K -> ceil(R(K)/a) rises from 0 to that K.  Past the first step
     a*K > ln(1/tol) > 13, and R grows by under 1/13 per unit of a*K, so each
     step cuts the distance 13-fold.  The logs are floats, Q and F their bounds.
+    PrecisionError if K exceeds _MAX_TERMS.
     """
     x, ln2 = n / (1 << w), math.log(2)
     ln_x = math.log(n) - w * ln2
@@ -135,6 +137,8 @@ def _plan(n: int, w: int, dps: int) -> tuple[int, int]:
     terms, last = 0, -1
     while terms != last:
         last, terms = terms, math.ceil((head + math.log(2 * c * terms + rest)) / (-2 * ln_x))
+    if terms > _MAX_TERMS:
+        raise PrecisionError(f"tail of the k-sums did not fall below tol within {_MAX_TERMS} terms")
     bits = math.ceil((log_f - ln_x - log_tol) / ln2)  # 2^-bits <= x*tol/F
     bits = max(bits, _dps_to_prec(dps) - 2 * (n.bit_length() - w))
     # G of the docstring, one bit up for the float rounding
@@ -145,8 +149,9 @@ def _plan(n: int, w: int, dps: int) -> tuple[int, int]:
 def ksums(n: int, w: int, dps: int) -> KSums:
     """alpha(x,x^s), beta(x,x^s), s = 0, 1, and their x-derivatives at x = n/2^w.
 
-    One pass of K steps, K set before it starts (`_plan`); every value is
-    an int over 2^wp (see `KSums`).  The tail tolerance is tol = 10^-(dps+5).
+    One pass of K steps, K set before it starts (`_plan`, which raises
+    PrecisionError past _MAX_TERMS); every value is an int over 2^wp (see
+    `KSums`).  The tail tolerance is tol = 10^-(dps+5).
 
     With P_s(j) = prod_{l<=j} (1 - x^(2l-1+s)) the k-th terms are
 
@@ -223,8 +228,6 @@ def ksums(n: int, w: int, dps: int) -> KSums:
     up to 0.98, beyond the domain (0, 0.95] of the public calls.
     """
     terms, wp = _plan(n, w, dps)
-    if terms > _MAX_TERMS:
-        raise PrecisionError(f"tail of the k-sums did not fall below tol within {_MAX_TERMS} terms")
     one = 1 << wp
     one_squared = one << wp
     xf = n << (wp - w) if wp >= w else n >> (w - wp)
@@ -289,8 +292,8 @@ def _ladder(working: int) -> list[int]:
     return rungs[::-1]
 
 
-def find_rho(digits: int) -> tuple[int, int, KSums]:
-    """(n, w, sums): the zero n/2^w of D in BRACKET and the last pass, at digits + 15.
+def find_rho(digits: int) -> KSums:
+    """The pass at the zero of D in BRACKET that confirmed it, at digits + 15.
 
     Safeguarded Newton iteration on the analytic D' with precision
     doubling: the sign change is verified on BRACKET at the first rung of
@@ -300,11 +303,17 @@ def find_rho(digits: int) -> tuple[int, int, KSums]:
     sign-change bracket around the iterates; a Newton step that would
     leave the bracket is replaced by a bisection step, so the root stays
     enclosed.  The iteration stops once a step at full working precision
-    is below 10^-(digits+8).  BRACKET's ends are rounded to w bits (of
-    digits + 15); an end whose |D| is within the first rung's error budget
-    cannot vouch for its sign and raises PrecisionError, as does a pair of
-    ends without a sign change.  sums is made at the iterate before the
-    final step.
+    is below 10^-(digits+8), and the pass that gave that step is returned:
+    its x, the iterate before the step, lies within about 10^-(digits+8)
+    of the root, and its values are over its bits wp (see `KSums`).
+
+    BRACKET's ends are rounded to the bits of digits + 15; an end whose |D|
+    is within the first rung's error budget cannot vouch for its sign and
+    raises PrecisionError, as does a pair of ends without a sign change.
+    No pass uses an x above the upper end, and none more digits than the
+    top rung, so `_plan` there bounds the terms of every pass: a count past
+    _MAX_TERMS raises PrecisionError before the first pass (from digits =
+    30951 on).
     """
     if digits < 10:
         raise ValueError(f"digits must be >= 10, got {digits}")
@@ -313,6 +322,7 @@ def find_rho(digits: int) -> tuple[int, int, KSums]:
     w = _dps_to_prec(working)
     newton_steps = bisection_steps = 0
     a, b = (_div(num << w, den) for num, den in BRACKET)
+    _plan(b, w, working)  # the most terms of any pass: raises past the cap
     fa, fb = ksums(a, w, ladder[0]), ksums(b, w, ladder[0])
     positive = fa.denominator > 0
     if positive == (fb.denominator > 0) or not (
@@ -365,7 +375,7 @@ def find_rho(digits: int) -> tuple[int, int, KSums]:
         digits, ladder, 2 + newton_steps + bisection_steps, newton_steps,
         bisection_steps, sums.terms, dx.bit_length() - w,
     )
-    return x, w, sums
+    return sums
 
 
 def amplitudes(sums: KSums, digits: int) -> tuple[tuple[int, ...], int]:
@@ -374,10 +384,10 @@ def amplitudes(sums: KSums, digits: int) -> tuple[tuple[int, ...], int]:
     c_even = -Num(rho)/(rho*D'(rho)); the odd series z/(1-z)*(1+F(z,1)) -
     F(z,z) picks up rho/(1-rho)*c_even - c_fzz, with c_fzz the residue
     constant of F(z,z) = alpha(z,z)/D.  D, Num, alpha(rho,rho) and D' all
-    come from `sums`, one pass at digits + 15 (`find_rho`'s last), whose
-    bits wp every value is over.  DomainError if |D(rho)| > 10^(-digits/2);
-    PrecisionError if |D'(rho)| is numerically zero or a constant comes out
-    nonpositive.
+    come from `sums`, one pass at digits + 15 (the one `find_rho` returns),
+    whose bits wp every value is over.  DomainError if |D(rho)| >
+    10^(-digits/2); PrecisionError if |D'(rho)| is numerically zero or a
+    constant comes out nonpositive.
     """
     wp, rho, slope = sums.wp, sums.x, sums.derivative
     residual = abs(sums.denominator)

@@ -61,7 +61,9 @@ class PrecisionError(ArithmeticError):
     A k-sum pass that needs more than 100000 terms, a root bracket
     without a sign change of D beyond the error budget, a Newton iteration
     that does not converge, |D'(rho)| numerically zero (no simple pole), or
-    residue constants that come out nonpositive.
+    residue constants that come out nonpositive.  `find_rho` checks the
+    term cap before its first pass, at 0.70 and digits + 15, so it raises
+    at once from 30951 digits on.
     """
 
 
@@ -116,14 +118,18 @@ def eval_denominator(x, dps: int = DEFAULT_DPS) -> mpf:
 
 
 def find_rho(digits: int = 20) -> mpf:
-    """`_pole.find_rho`'s zero of D in (0.55, 0.70) to `digits` significant digits, an mpf."""
+    """The zero of D in (0.55, 0.70) to `digits` significant digits, an mpf.
+
+    The x of the pass that `_pole.find_rho` returns, at digits + 15: the
+    root at which the `asymptotics` command reads its constants.
+    """
     from mpmath import mp, mpf
 
     from . import _pole
 
     with mp.workdps(digits + GUARD_DIGITS):
-        n, w, _ = _pole.find_rho(index(digits))
-        return mpf((n, -w))
+        sums = _pole.find_rho(index(digits))
+        return mpf((sums.x, -sums.wp))
 
 
 def denominator_derivative(x, digits: int = 20) -> mpf:

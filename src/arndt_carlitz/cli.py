@@ -164,12 +164,10 @@ def _cmd_list(args: Args) -> int:
 def _cmd_asymptotics(args: Args) -> int:
     from . import _pole  # the int core: no mpmath on this path
 
-    digits = args.digits
-    # extra internal digits so every displayed digit is converged
-    internal = max(digits, 20) + 5
-    values, wp = _pole.amplitudes(_pole.find_rho(internal)[2], internal)
+    digits = max(args.digits, 10)  # the fewest digits find_rho accepts
+    values, wp = _pole.amplitudes(_pole.find_rho(digits), digits)
     names = ("rho", "growth", "c_even", "c_odd", "c_total")
-    lines = [f"{name} = {_pole.nstr(v, wp, digits)}" for name, v in zip(names, values)]
+    lines = [f"{name} = {_pole.nstr(v, wp, args.digits)}" for name, v in zip(names, values)]
     lines.append(f"growth (unrestricted compositions) = {asymptotics.UNRESTRICTED_GROWTH}")
     lines.append(f"growth (Carlitz compositions) = {asymptotics.CARLITZ_GROWTH}")
     return _write(lines)

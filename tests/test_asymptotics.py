@@ -360,11 +360,12 @@ def test_precision_must_be_an_int(call):
 
 
 def test_public_find_rho_is_the_int_core_root():
-    # both layers round the same BRACKET ends and run the same iteration
+    # the public root is the x of the pass that the int core returns,
+    # exactly: that x has the bits of digits + 15
     for digits in (10, 20, 100):
-        n, w, _ = _pole.find_rho(digits)
+        sums = _pole.find_rho(digits)
         man, exp = asymptotics._dyadic(find_rho(digits))
-        assert Fraction(n, 1 << w) == Fraction(man, 1 << exp)
+        assert Fraction(sums.x, 1 << sums.wp) == Fraction(man, 1 << exp)
 
 
 def test_find_rho_rejects_signless_bracket(monkeypatch):
@@ -453,6 +454,43 @@ def test_find_rho_pass_budget(monkeypatch):
     assert 0 < len(passes) <= 12
 
 
+@pytest.mark.parametrize("digits, passes", [(18, 7), (20, 8), (100, 10)])
+def test_find_rho_pass_counts(monkeypatch, digits, passes):
+    # pins the final stop at 10^-(digits+8): find_rho(18)'s last step lies
+    # between 2^-88 and 2^-87, i.e. between 10^-27 and 10^-26, so a stop at
+    # 10^-(digits+9) would take an eighth pass
+    calls = []
+    real = _pole.ksums
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_pole, "ksums", counting)
+    _pole.find_rho(digits)
+    assert len(calls) == passes
+
+
+def test_find_rho_checks_the_term_cap_before_any_pass(monkeypatch):
+    # the top rung's pass at BRACKET's upper end needs the most terms of
+    # any pass: at 50015 digits it would need 161491 (123768 at rho), so
+    # find_rho(50000) raises before its first pass instead of after passes
+    # at 12504 and 25008 digits
+    calls = []
+    monkeypatch.setattr(_pole, "ksums", lambda *args: calls.append(args))
+    start = time.perf_counter()
+    with pytest.raises(PrecisionError, match="did not fall below tol within 100000 terms"):
+        _pole.find_rho(50_000)
+    assert time.perf_counter() - start < 1
+    assert calls == []
+    # a cap one below the 363 terms of find_rho(120)'s last pass, at rho
+    # and 135 digits: the check at the upper end (478 terms) raises first
+    monkeypatch.setattr(_pole, "_MAX_TERMS", 362)
+    with pytest.raises(PrecisionError, match="within 362 terms"):
+        _pole.find_rho(120)
+    assert calls == []
+
+
 def test_find_rho_gives_up_when_the_last_rung_cannot_converge(monkeypatch):
     # one Newton step per rung cannot reach 10^-(digits+8) on the last one
     monkeypatch.setattr(_pole, "_MAX_STEPS_PER_RUNG", 1)
@@ -461,7 +499,7 @@ def test_find_rho_gives_up_when_the_last_rung_cannot_converge(monkeypatch):
 
 
 def test_amplitudes_reject_a_pass_with_bad_slope():
-    _, _, sums = _pole.find_rho(20)
+    sums = _pole.find_rho(20)
     assert _pole.amplitudes(sums, 20)[0][0] == sums.x
     # D' = 0: no simple pole
     with pytest.raises(PrecisionError, match="numerically zero"):

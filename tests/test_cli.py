@@ -258,10 +258,10 @@ def test_asymptotics_precision_failure_exit(capsys, monkeypatch):
 
 
 def test_asymptotics_non_root_exit(capsys, monkeypatch):
-    # the int core that the command calls, returning rho = 1/2^1 with a real
-    # pass there at the working digits
+    # the int core that the command calls, returning a real pass at
+    # rho = 1/2^1 at the working digits
     def not_a_root(digits, *args, **kwargs):
-        return 1, 1, _pole.ksums(1, 1, digits + GUARD_DIGITS)
+        return _pole.ksums(1, 1, digits + GUARD_DIGITS)
 
     monkeypatch.setattr(_pole, "find_rho", not_a_root)
     code, out, err = run(capsys, "asymptotics")
@@ -280,11 +280,24 @@ def test_asymptotics_makes_no_pass_beyond_find_rho(capsys, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(_pole, "ksums", counting)
-    _pole.find_rho(55)  # the command's internal digits at --digits 50
+    _pole.find_rho(50)  # the command runs find_rho at --digits itself
     alone = len(calls)
     code, _, _ = run(capsys, "asymptotics", "--digits", "50")
     assert code == EXIT_OK
     assert len(calls) == 2 * alone
+    assert calls[alone:] == calls[:alone]
+
+
+@pytest.mark.parametrize("digits", [10, 20, 50])
+def test_asymptotics_prints_the_pass_that_find_rho_confirmed(capsys, digits):
+    # no guard of the command's own: the five constants are those of
+    # find_rho's pass at --digits
+    values, wp = _pole.amplitudes(_pole.find_rho(digits), digits)
+    code, out, _ = run(capsys, "asymptotics", "--digits", str(digits))
+    assert code == EXIT_OK
+    names = ("rho", "growth", "c_even", "c_odd", "c_total")
+    expected = [f"{name} = {_pole.nstr(v, wp, digits)}" for name, v in zip(names, values)]
+    assert out.splitlines()[:5] == expected
 
 
 def test_asymptotics_matches_committed_digests(capsys):
