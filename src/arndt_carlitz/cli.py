@@ -4,9 +4,11 @@ Exit codes: 0 success, 1 output pipe closed early, 2 usage error (also
 an --n or --order too large to fit in memory), 3 brute-force cap
 exceeded, 4 verification mismatch, 5 numeric/precision failure.
 
-The process entry is `run`; `main` is the in-process entry for tests and
-library callers.  Every command except verify writes its whole result to
-stdout at once; verify prints one line per check as it runs.
+The process entry is `run`: it calls `main` with the cyclic collector off
+and ends the process with os._exit once the result is out.  `main` is the
+in-process entry for tests and library callers: it turns nothing off and
+returns the exit code.  Every command except verify writes its whole
+result to stdout at once; verify prints one line per check as it runs.
 
 The grammar is one option table, `COMMANDS`.  `main` first parses argv
 strictly against it: a command name, then exact `--flag value` pairs,
@@ -22,11 +24,12 @@ ARNDT_CARLITZ_CAP environment variable.
 
 from __future__ import annotations
 
+import atexit
 import gc
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 # gf (and with it series) loads only in the commands that build series;
 # the parser choices and main's except clauses need these two
@@ -303,26 +306,31 @@ def main(argv=None) -> int:
         return EXIT_PRECISION
 
 
-def run() -> int:
-    """Process entry: `main` on sys.argv, then the heap frozen for the exit.
+def run() -> NoReturn:
+    """Process entry: `main` on sys.argv with the cyclic collector off, then os._exit.
 
-    stdout is flushed inside the try, so a reader that closed the pipe
-    early ends the process with exit 1 and no traceback: fd 1 then points
-    at os.devnull, so the flush at shutdown has nowhere to fail (Python
-    docs, signal module, "Note on SIGPIPE").  gc.freeze() runs on every
-    way out, SystemExit included: the collections at interpreter shutdown
-    skip every object alive at that point, and the operating system
-    reclaims the memory.  atexit handlers and the stdio flush still run.
+    No command builds cyclic garbage worth collecting, so gc.disable()
+    saves the collector's passes (15 in verify, 13 of them in `import
+    mpmath`).  argparse's SystemExit (--help, usage errors) ends here with
+    its own code.  Once the result is out, stdout is flushed: a reader
+    that closed the pipe early gives exit 1 and no traceback.  Then the
+    atexit handlers run, stderr is flushed and os._exit ends the process
+    with the code, skipping the interpreter's teardown (module cleanup,
+    the shutdown collection, __del__ and weakref callbacks at exit).  An
+    uncaught exception still ends in its traceback the normal way.
     """
+    gc.disable()
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse exits with an int code
+            code = exc.code
         sys.stdout.flush()
-        return code
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
-    finally:
-        gc.freeze()
+        code = EXIT_BROKEN_PIPE
+    atexit._run_exitfuncs()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -831,10 +831,12 @@ def run_python(*argv, unbuffered=True, stdout=subprocess.PIPE, preexec_fn=None):
 
 
 def test_in_process_main_freezes_nothing(capsys):
-    # only the process entry run() freezes: a long-lived caller of main
-    # keeps ordinary garbage collection
+    # only the process entry run() turns the collector off: a long-lived
+    # caller of main keeps ordinary garbage collection
+    assert gc.isenabled()
     before = gc.get_freeze_count()
     assert run(capsys, "count", "--n", "8") == (EXIT_OK, "n=8 even=7 odd=9 total=16\n", "")
+    assert gc.isenabled()
     assert gc.get_freeze_count() == before
 
 
@@ -851,26 +853,61 @@ def test_text_only_stdout_gets_the_same_text():
 
 _ATEXIT_PROBE = """
 import atexit, runpy, sys
-atexit.register(lambda: print("atexit ran", file=sys.stderr))
+# no newline: a line-buffered stderr holds the text until a flush
+atexit.register(lambda: print("atexit ran", end="", file=sys.stderr))
 sys.argv = ["arndt-carlitz", "count", "--n", "8"]
 runpy.run_module("arndt_carlitz.cli", run_name="__main__")
 """
 
 
 def test_process_exit_still_runs_atexit_handlers():
-    done = run_python("-c", _ATEXIT_PROBE)
-    assert (done.returncode, done.stdout, done.stderr) == (
-        EXIT_OK, "n=8 even=7 odd=9 total=16\n", "atexit ran\n"
-    )
+    # run() ends in os._exit after the atexit handlers and a flush of
+    # stderr: unbuffered and block-buffered, the handler's unfinished line
+    # and the whole result still arrive
+    for unbuffered in (True, False):
+        done = run_python("-c", _ATEXIT_PROBE, unbuffered=unbuffered)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            EXIT_OK, "n=8 even=7 odd=9 total=16\n", "atexit ran"
+        ), unbuffered
+
+
+def main_result(capsys, argv):
+    # the code, stdout and stderr of main in process, argparse's SystemExit
+    # taken as its code
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
 
 
 @pytest.mark.parametrize("argv, code", [
     (["count", "--n", "8"], EXIT_OK),
     (["asymptotics", "--digits", "0"], EXIT_USAGE),  # argparse's SystemExit
     (["count", "--n", "31", "--method", "brute"], EXIT_CAP),
+    (["--help"], EXIT_OK),  # argparse's SystemExit after the help text
+    (["verify", "--max-n", "8", "--order", "24"], EXIT_OK),  # one print per check
 ])
-def test_process_exit_codes(argv, code):
-    assert run_python("-m", "arndt_carlitz.cli", *argv).returncode == code
+def test_process_exit_codes(capsys, monkeypatch, argv, code):
+    # os._exit drops what a buffer still holds, so the process, unbuffered
+    # and with stdout block-buffered into the pipe, must deliver exactly
+    # what main prints in process.  COLUMNS gives argparse's help the same
+    # width in both, even when fd 1 of the test is a terminal
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = main_result(capsys, argv)
+    assert expected[0] == code
+    for unbuffered in (True, False):
+        done = run_python("-m", "arndt_carlitz.cli", *argv, unbuffered=unbuffered)
+        assert (done.returncode, done.stdout, done.stderr) == expected, unbuffered
+    _, out, err = expected
+    if argv == ["--help"]:
+        assert out.startswith("usage: arndt-carlitz")
+    if argv[0] == "verify":
+        assert out.count("\n") > 1 and out.endswith("\nverify: PASS\n")
+    if code == EXIT_CAP:
+        assert err.startswith("error: n=31 exceeds brute-force cap 30;")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
